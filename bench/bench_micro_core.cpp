@@ -6,7 +6,9 @@
 // instrumentation primitives (which ride on every one of the above, so
 // their cost must stay orders of magnitude below a sampling operation), and
 // the EventQueue hot path old vs. new (DESIGN.md §10) with a global
-// allocation counter proving the schedule/run cycle is allocation-free.
+// allocation counter proving the schedule/run cycle is allocation-free, and
+// the reactor's per-poll timer cycle (DESIGN.md §12), held to the same
+// zero-allocation gate.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -23,6 +25,7 @@
 #include "core/adaptive_sampler.h"
 #include "core/error_allocation.h"
 #include "core/likelihood.h"
+#include "net/reactor.h"
 #include "obs/metrics.h"
 #include "obs/trace_events.h"
 #include "sim/event_queue.h"
@@ -406,6 +409,53 @@ void BM_LegacyEventQueueScheduleCancel(benchmark::State& state) {
   schedule_cancel_batches<LegacyEventQueue>(state);
 }
 BENCHMARK(BM_LegacyEventQueueScheduleCancel);
+
+// --- Reactor timer turn (net/reactor.h, DESIGN.md §12) -----------------
+//
+// CoordinatorNode's per-poll timer pattern, the reactor-turn layer's cost:
+// arm the 1000 ms poll timeout, cancel it when the poll settles, and look up
+// the next deadline as every loop turn does. A live 60 s timer stands in for
+// the liveness sweep, so the cancelled timeouts are never the soonest.
+void BM_ReactorTimerArmCancel(benchmark::State& state) {
+  net::Reactor reactor;
+  std::uint64_t sink = 0;
+  reactor.add_timer(60000, [&sink] { ++sink; });
+  std::uint64_t poll_id = 0;
+  const auto cycle = [&] {
+    ++poll_id;
+    // Same capture size as start_poll's [this, task, poll_id] (24 bytes).
+    const auto id = reactor.add_timer(
+        1000, [&reactor, &sink, poll_id] {
+          benchmark::DoNotOptimize(&reactor);
+          sink += poll_id;
+        });
+    reactor.cancel_timer(id);
+    benchmark::DoNotOptimize(reactor.next_deadline_ms());
+  };
+  for (int i = 0; i < 1024; ++i) cycle();
+  // Acceptance gate: a warm reactor arms, cancels and finds its next
+  // deadline without touching the heap.
+  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  for (int i = 0; i < 4096; ++i) cycle();
+  const std::uint64_t seen =
+      g_heap_allocs.load(std::memory_order_relaxed) - before;
+  if (seen != 0) {
+    std::fprintf(stderr,
+                 "BM_ReactorTimerArmCancel: expected 0 steady-state heap "
+                 "allocations over 4096 arm/cancel/next-deadline cycles, "
+                 "saw %llu\n",
+                 static_cast<unsigned long long>(seen));
+    std::exit(1);
+  }
+  const std::uint64_t start = g_heap_allocs.load(std::memory_order_relaxed);
+  for (auto _ : state) cycle();
+  benchmark::DoNotOptimize(sink);
+  state.counters["allocs/op"] = benchmark::Counter(
+      static_cast<double>(g_heap_allocs.load(std::memory_order_relaxed) -
+                          start),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_ReactorTimerArmCancel);
 
 }  // namespace
 }  // namespace volley

@@ -8,9 +8,9 @@
 //
 //   idle   — nobody sends anything. The legacy loop turns every 20 ms and
 //            rebuilds + scans an N-wide pollfd array each turn; the reactor
-//            sleeps in epoll_wait (its only turns are the timer wheel's
-//            ~0.5 s lap ticks while the coalesced liveness deadline is far
-//            out). Reported: loop wakeups/sec and coordinator-thread CPU
+//            sleeps in epoll_wait and turns only at its real timer
+//            deadlines (the coalesced liveness sweep, the idle guard).
+//            Reported: loop wakeups/sec and coordinator-thread CPU
 //            (pthread_getcpuclockid) across the window.
 //   load   — worker threads blast batched Heartbeat frames over every
 //            connection and drain the acks. Reported: messages the
@@ -18,7 +18,8 @@
 //            writev egress vs per-frame blocking send_all).
 //   polls  — one connection reports a LocalViolation; every connection
 //            answers the resulting global PollRequest. Reported: p50/p99
-//            violation-to-settle latency from coordinator.poll_settle_ms().
+//            violation-to-settle latency from the coordinator's recent
+//            settle ring (recent_poll_settle_ms()).
 //
 // On top of the legacy-vs-reactor comparison, each fleet size also runs:
 //
@@ -399,15 +400,17 @@ std::optional<ModeResult> run_mode(std::size_t connections,
   // Phase 3: global polls. One violation per round; the whole fleet
   // answers; settle latency comes from the coordinator's own accounting.
   for (int round = 0; round < cfg.polls; ++round) {
-    const auto settled_before = coordinator.poll_settle_ms().size();
+    const auto settled_before = coordinator.settled_polls();
     shared.violations_requested.fetch_add(1, std::memory_order_relaxed);
     const auto deadline = steady_ms() + 8000.0;
-    while (coordinator.poll_settle_ms().size() == settled_before &&
+    while (coordinator.settled_polls() == settled_before &&
            steady_ms() < deadline) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }
-  const auto settles = coordinator.poll_settle_ms();
+  // cfg.polls is far below the coordinator's settle ring, so the ring
+  // holds every poll of this phase.
+  const auto settles = coordinator.recent_poll_settle_ms();
   result.settle_p50_ms = percentile(settles, 50.0);
   result.settle_p99_ms = percentile(settles, 99.0);
   result.polls_settled = settles.size();

@@ -256,7 +256,7 @@ void Coordinator::maybe_reallocate(Tick t) {
     monitors_[i]->set_error_allowance(allocation_[i]);
     if (spec_.error_allowance > 0.0)
       om.allowance_share->observe(allocation_[i] / spec_.error_allowance);
-    if (allocation_[i] != previous[i]) {
+    if (allocation_[i] != previous[i] && obs::trace_enabled()) {
       obs::trace().record(obs::TraceKind::kAllowanceAdjusted, t,
                           static_cast<std::uint32_t>(i), allocation_[i],
                           previous[i]);

@@ -226,7 +226,7 @@ void CoordinatorNode::start_poll(TaskId task, TaskRuntime& rt, Tick tick) {
   rt.poll_started_ms = now_ms();
   ++global_polls_;
   if (reactor_mode_) {
-    // Timer-wheel deadline instead of the legacy per-turn scan. The
+    // Reactor timer deadline instead of the legacy per-turn scan. The
     // captured poll id guards against firing on a later poll of the same
     // task: finish_poll cancels, but a timer mid-dispatch can still run.
     const std::uint64_t poll_id = *rt.active_poll;
@@ -284,8 +284,10 @@ void CoordinatorNode::finish_poll(TaskId task, TaskRuntime& rt) {
   if (sum > threshold) {
     alerts_.push_back(GlobalAlert{rt.active_poll_tick, sum, task});
     NetCoordinatorMetrics::get().alerts->inc();
-    obs::trace().record(obs::TraceKind::kAlertRaised, rt.active_poll_tick,
-                        task, sum, threshold);
+    if (obs::trace_enabled()) {
+      obs::trace().record(obs::TraceKind::kAlertRaised, rt.active_poll_tick,
+                          task, sum, threshold);
+    }
     if (options_.on_alert) options_.on_alert(task, rt.active_poll_tick, sum);
   }
   {
@@ -296,8 +298,8 @@ void CoordinatorNode::finish_poll(TaskId task, TaskRuntime& rt) {
   }
   {
     std::lock_guard<std::mutex> lock(poll_settle_mu_);
-    poll_settle_ms_.push_back(
-        static_cast<double>(now_ms() - rt.poll_started_ms));
+    ++settled_polls_;
+    poll_settle_ms_.push(static_cast<double>(now_ms() - rt.poll_started_ms));
   }
   if (rt.poll_timer != 0) {
     reactor_.cancel_timer(rt.poll_timer);

@@ -2,8 +2,8 @@
 //
 // The coordinator accepts the expected number of monitors, then runs an
 // event loop — the epoll reactor (net/reactor.h: readiness dispatch, batched
-// writev egress, timer-wheel deadlines) by default, or the legacy 20 ms
-// poll(2) loop under VOLLEY_POLL_LOOP — handling:
+// writev egress, timer deadlines) by default, or the legacy 20 ms poll(2)
+// loop under VOLLEY_POLL_LOOP — handling:
 //  * LocalViolation  -> start a global poll for the violated task (coincident
 //    violations while that task's poll is in flight are absorbed by it, as in
 //    the paper: one global poll answers "is the global condition violated
@@ -61,6 +61,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/ring_buffer.h"
 #include "control/registry_store.h"
 #include "control/task_registry.h"
 #include "core/error_allocation.h"
@@ -162,12 +163,19 @@ class CoordinatorNode {
   std::int64_t messages_received() const {
     return messages_received_.load(std::memory_order_relaxed);
   }
-  /// Violation-report -> poll-settle latencies (ms), one entry per finished
-  /// global poll.
-  std::vector<double> poll_settle_ms() const {
+  /// Global polls finished so far.
+  std::int64_t settled_polls() const {
     std::lock_guard<std::mutex> lock(poll_settle_mu_);
-    return poll_settle_ms_;
+    return settled_polls_;
   }
+  /// Violation-report -> poll-settle latencies (ms) of the last
+  /// kPollSettleWindow finished global polls, oldest first. A fixed ring,
+  /// so a long-lived daemon does not grow one entry per poll.
+  std::vector<double> recent_poll_settle_ms() const {
+    std::lock_guard<std::mutex> lock(poll_settle_mu_);
+    return poll_settle_ms_.to_vector();
+  }
+  static constexpr std::size_t kPollSettleWindow = 1024;
 
   // Results, valid after run() returns.
   std::int64_t global_polls() const { return global_polls_; }
@@ -405,7 +413,8 @@ class CoordinatorNode {
   std::atomic<std::int64_t> loop_wakeups_{0};
   std::atomic<std::int64_t> messages_received_{0};
   mutable std::mutex poll_settle_mu_;
-  std::vector<double> poll_settle_ms_;
+  std::int64_t settled_polls_{0};
+  RingBuffer<double> poll_settle_ms_{kPollSettleWindow};
   std::int64_t global_polls_{0};
   std::int64_t reallocations_{0};
   std::vector<GlobalAlert> alerts_;

@@ -53,7 +53,7 @@ const ReactorMetrics& reactor_metrics() {
     h.io_events = &m.counter("volley_reactor_io_events_total",
                              "File-descriptor events dispatched");
     h.timers_fired = &m.counter("volley_reactor_timers_fired_total",
-                                "Timer-wheel callbacks fired");
+                                "Timer callbacks fired");
     h.dispatch_ms = &m.histogram(
         "volley_reactor_dispatch_ms", 0.0, 50.0, 50,
         "Per-turn dispatch latency (I/O handlers + due timers), ms");
@@ -324,7 +324,6 @@ Reactor::Reactor(ReactorBackend requested) {
       throw_errno("epoll_ctl(wakeup)");
     }
   }
-  wheel_cursor_ms_ = now_ms();
 }
 
 Reactor::~Reactor() {
@@ -438,91 +437,22 @@ void Reactor::remove_fd(int fd) {
 }
 
 Reactor::TimerId Reactor::add_timer(std::int64_t delay_ms, TimerCallback cb) {
-  if (delay_ms < 0) delay_ms = 0;
-  const TimerId id = next_timer_id_++;
-  // Ceil the arming instant to the next whole millisecond: now_ms()
-  // truncates, and a floor-based deadline would let the timer fire up to
-  // 1 ms before `delay_ms` has really elapsed — the API promises never
-  // early, late only by dispatch time.
-  timespec ts{};
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  const std::int64_t now_ceil =
-      static_cast<std::int64_t>(ts.tv_sec) * 1000 + ts.tv_nsec / 1000000 +
-      (ts.tv_nsec % 1000000 != 0 ? 1 : 0);
-  const std::int64_t due = now_ceil + delay_ms;
-  timers_.emplace(id, std::move(cb));
-  wheel_[slot_of(due)].push_back(WheelEntry{id, due});
-  return id;
+  // now_ms() truncates, so the extra 1 ms keeps the timer from firing
+  // before `delay_ms` has really elapsed. It also puts the deadline past
+  // the horizon of a turn in progress, so a timer armed by a timer
+  // callback waits for a later turn.
+  const std::int64_t due = now_ms() + 1 + std::max<std::int64_t>(delay_ms, 0);
+  // Queue ids start at 0 (slot 0, generation 0); shift them by one so
+  // that 0 never names a timer and callers can use it as "none".
+  return timers_.schedule_at(static_cast<SimTime>(due), std::move(cb)) + 1;
 }
 
-void Reactor::cancel_timer(TimerId id) {
-  // Membership in timers_ is the liveness bit; the wheel entry becomes a
-  // tombstone swept when its slot is next visited.
-  timers_.erase(id);
-}
+void Reactor::cancel_timer(TimerId id) { timers_.cancel(id - 1); }
 
-std::optional<std::int64_t> Reactor::next_deadline_ms() const {
-  if (timers_.empty()) return std::nullopt;
-  const std::int64_t cursor = wheel_cursor_ms_;
-  // Ring order == time order for deadlines within one wheel span of the
-  // cursor, so the first slot holding a near entry yields the minimum.
-  for (std::size_t k = 0; k < kWheelSlots; ++k) {
-    const auto& slot = wheel_[(slot_of(cursor) + k) & (kWheelSlots - 1)];
-    std::optional<std::int64_t> best;
-    for (const auto& e : slot) {
-      if (timers_.count(e.id) == 0) continue;        // cancelled tombstone
-      if (e.due_ms >= cursor + kWheelSpanMs) continue;  // a later lap
-      if (!best || e.due_ms < *best) best = e.due_ms;
-    }
-    if (best) return best;
-  }
-  // Every live timer is a lap or more out: sleep one span, then re-scan.
-  return cursor + kWheelSpanMs;
-}
-
-int Reactor::advance_wheel(std::int64_t now) {
-  if (timers_.empty()) {
-    wheel_cursor_ms_ = now;
-    return 0;
-  }
-  // Visit every slot the cursor passes over (capped at one full lap — past
-  // that the ring repeats), collecting entries due by `now`. Entries for
-  // future laps stay in their slot and are re-examined next pass.
-  const std::int64_t elapsed = now - wheel_cursor_ms_;
-  const std::int64_t steps =
-      std::min<std::int64_t>(elapsed / kWheelResMs + 1, kWheelSlots);
-  due_scratch_.clear();
-  for (std::int64_t k = 0; k < steps; ++k) {
-    auto& slot = wheel_[(slot_of(wheel_cursor_ms_) + static_cast<std::size_t>(k)) &
-                        (kWheelSlots - 1)];
-    for (std::size_t i = 0; i < slot.size();) {
-      const WheelEntry e = slot[i];
-      if (timers_.count(e.id) == 0 || e.due_ms <= now) {
-        slot[i] = slot.back();
-        slot.pop_back();
-        if (timers_.count(e.id) != 0) due_scratch_.push_back(e);
-      } else {
-        ++i;
-      }
-    }
-  }
-  wheel_cursor_ms_ = now;
-  // Fire in deadline order so interdependent timers observe a consistent
-  // sequence (e.g. poll timeout before the liveness sweep armed later).
-  std::sort(due_scratch_.begin(), due_scratch_.end(),
-            [](const WheelEntry& a, const WheelEntry& b) {
-              return a.due_ms < b.due_ms || (a.due_ms == b.due_ms && a.id < b.id);
-            });
-  int fired = 0;
-  for (const auto& e : due_scratch_) {
-    auto it = timers_.find(e.id);
-    if (it == timers_.end()) continue;  // cancelled by an earlier callback
-    TimerCallback cb = std::move(it->second);
-    timers_.erase(it);
-    cb();
-    ++fired;
-  }
-  return fired;
+std::optional<std::int64_t> Reactor::next_deadline_ms() {
+  const auto due = timers_.next_time();
+  if (!due) return std::nullopt;
+  return static_cast<std::int64_t>(*due);
 }
 
 int Reactor::dispatch_events(int n) {
@@ -695,7 +625,8 @@ int Reactor::wait_and_dispatch(std::int64_t wait_ns) {
   met.wakeups->inc();
   const std::int64_t t0 = now_ms();
   const int handled = dispatch_events(n);
-  const int fired = advance_wheel(now_ms());
+  const int fired = static_cast<int>(
+      timers_.run_until(static_cast<SimTime>(now_ms())));
   stats_.io_events += handled;
   stats_.timers_fired += fired;
   if (handled != 0) met.io_events->inc(handled);

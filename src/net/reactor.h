@@ -1,13 +1,14 @@
-// Event-loop reactor + calendar-ring timer wheel for the Volley net runtime.
+// Event-loop reactor + timer heap for the Volley net runtime.
 //
 // One Reactor instance is one event loop: file descriptors register a
 // handler once (persistent registration — no per-tick fd-vector rebuild
 // like the legacy poll(2) loops) and are dispatched on readiness;
-// millisecond timers live in a calendar bucket ring (the due-index idiom
-// from core/coordinator.cpp, one ring level plus lap carry-over for
-// far-out deadlines). A quiet loop therefore sleeps until the next due
-// timer or the next byte of I/O — zero wakeups in between — instead of
-// polling on a fixed tick.
+// millisecond timers live in the simulator's EventQueue (sim/event_queue.h,
+// a 4-ary heap with O(1) generation-checked cancel and compaction), its
+// time axis being steady-clock ms. A quiet loop therefore sleeps until the
+// next due timer or the next byte of I/O — zero wakeups in between —
+// instead of polling on a fixed tick, and finding that next deadline never
+// rescans cancelled timers.
 //
 // Backends (DESIGN.md §14): the readiness engine is pluggable behind this
 // interface.
@@ -42,6 +43,8 @@
 #include <optional>
 #include <unordered_map>
 #include <vector>
+
+#include "sim/event_queue.h"
 
 namespace volley::net {
 
@@ -79,7 +82,8 @@ class Reactor {
   /// Raw epoll-style event mask; use readable()/writable()/hangup() to
   /// decode (identical bit values on both backends).
   using IoHandler = std::function<void(std::uint32_t events)>;
-  using TimerCallback = std::function<void()>;
+  /// Allocation-free for captures up to 48 bytes.
+  using TimerCallback = EventQueue::Callback;
   using TimerId = std::uint64_t;
 
   static bool readable(std::uint32_t events);
@@ -121,20 +125,27 @@ class Reactor {
   bool watching(int fd) const { return handlers_.count(fd) != 0; }
   std::size_t watched_fds() const { return handlers_.size(); }
 
-  // --- timers (calendar ring, 1 ms resolution) ----------------------------
+  // --- timers (EventQueue heap, 1 ms resolution) --------------------------
 
   /// Fires `cb` once, ~delay_ms from now (never early; late only by loop
-  /// dispatch time). Returns an id for cancel_timer.
+  /// dispatch time). Timers due in the same turn fire in (deadline, arming)
+  /// order; one armed by a timer callback never fires in that same turn.
+  /// Returns a nonzero id for cancel_timer.
   TimerId add_timer(std::int64_t delay_ms, TimerCallback cb);
 
-  /// Cancels a pending timer; a no-op for unknown/already-fired ids.
+  /// Cancels a pending timer (also from inside a timer callback); a no-op
+  /// for unknown/already-fired ids and for 0.
   void cancel_timer(TimerId id);
 
-  std::size_t pending_timers() const { return timers_.size(); }
+  std::size_t pending_timers() const { return timers_.pending(); }
+
+  /// Timer records held, pending plus cancelled ones not yet compacted
+  /// away; stays at most 2 * pending_timers() + 1.
+  std::size_t timer_records() const { return timers_.heap_records(); }
 
   /// Absolute steady-clock ms deadline of the soonest pending timer (the
   /// sleep bound), or nullopt when no timer is pending.
-  std::optional<std::int64_t> next_deadline_ms() const;
+  std::optional<std::int64_t> next_deadline_ms();
 
   // --- loop ---------------------------------------------------------------
 
@@ -172,11 +183,6 @@ class Reactor {
   void enable_loop_stats(std::size_t loop_index);
 
  private:
-  struct WheelEntry {
-    TimerId id{0};
-    std::int64_t due_ms{0};
-  };
-
   /// Per-fd registration: `mask` is the epoll-style interest set. `gen`
   /// and `armed` are io_uring bookkeeping — gen stamps every POLL_ADD's
   /// user_data so completions for a superseded registration (remove/re-add,
@@ -189,17 +195,6 @@ class Reactor {
     bool armed{false};
   };
 
-  static constexpr std::size_t kWheelSlots = 512;  // power of two
-  static constexpr std::int64_t kWheelResMs = 1;
-  static constexpr std::int64_t kWheelSpanMs =
-      static_cast<std::int64_t>(kWheelSlots) * kWheelResMs;
-
-  std::size_t slot_of(std::int64_t ms) const {
-    return static_cast<std::size_t>(ms / kWheelResMs) & (kWheelSlots - 1);
-  }
-
-  /// Fires every timer due by `now` and advances the wheel cursor.
-  int advance_wheel(std::int64_t now);
   int dispatch_events(int n);
   int wait_and_dispatch(std::int64_t wait_ns);
   int epoll_wait_collect(std::int64_t wait_ns);
@@ -224,11 +219,7 @@ class Reactor {
   };
   std::vector<ReadyEvent> ready_;
 
-  std::unordered_map<TimerId, TimerCallback> timers_;
-  std::vector<std::vector<WheelEntry>> wheel_{kWheelSlots};
-  std::int64_t wheel_cursor_ms_{0};
-  TimerId next_timer_id_{1};
-  std::vector<WheelEntry> due_scratch_;
+  EventQueue timers_;  // time axis: steady-clock ms (exact in a double)
 
   Stats stats_;
 

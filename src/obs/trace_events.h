@@ -142,8 +142,9 @@ TraceSink& trace();
 /// (Monitor::sample_at, Coordinator polls) wrap their `trace().record(...)`
 /// in this so a disabled trace plane costs one TLS load and one relaxed
 /// atomic load — a branch, not a mutex — per sample. Sites that fire rarely
-/// (reallocation, liveness transitions) may skip the gate; they still
-/// record into the global sink when enabled.
+/// (liveness transitions, session events) may skip the gate, but then they
+/// record into the global sink even while it is switched off; per-monitor
+/// and per-alert sites must take the gate.
 inline bool trace_enabled() {
   return detail::tls_trace_sink != nullptr ||
          detail::global_trace_enabled.load(std::memory_order_relaxed);

@@ -112,6 +112,12 @@ bool EventQueue::peek_live_root(Record& out) {
   return false;
 }
 
+std::optional<SimTime> EventQueue::next_time() {
+  Record r;
+  if (!peek_live_root(r)) return std::nullopt;
+  return r.when;
+}
+
 void EventQueue::run_record(const Record& r) {
   Slot& s = slots_[r.slot];
   // Move the callback out *before* invoking it: the callback may schedule

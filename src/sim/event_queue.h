@@ -4,7 +4,9 @@
 // discrete-event simulator: every monitor's sampling operation is an event
 // on a virtual clock, so hundreds of tasks with different default intervals
 // (15 s network, 5 s system, 1 s application) interleave exactly as they
-// would on wall-clock time, at millions of events per second.
+// would on wall-clock time, at millions of events per second. The net
+// runtime's Reactor keeps its timers in an EventQueue too, with
+// steady-clock milliseconds as the time axis.
 //
 // Hot-path design (see DESIGN.md §10):
 //  * the pending set is a flat 4-ary min-heap of POD records (when, seq,
@@ -32,6 +34,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <new>
+#include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -171,6 +174,9 @@ class EventQueue {
   bool step();
 
   SimTime now() const { return now_; }
+  /// Time of the soonest pending event, or nullopt when none is pending.
+  /// Pops cancelled records off the top on the way, hence non-const.
+  std::optional<SimTime> next_time();
   /// Scheduled events that have neither run nor been cancelled.
   std::size_t pending() const { return live_; }
   bool empty() const { return live_ == 0; }

@@ -1,7 +1,7 @@
-// Unit tests for the reactor (both readiness backends) and its
-// calendar-ring timer wheel (net/reactor.h): fd registration and dispatch,
-// EPOLLOUT re-arm, timer ordering / cancellation / beyond-one-lap
-// deadlines, cross-thread wakeup, the VOLLEY_POLL_LOOP / VOLLEY_URING
+// Unit tests for the reactor (both readiness backends) and its timer heap
+// (net/reactor.h): fd registration and dispatch, EPOLLOUT re-arm, timer
+// ordering / cancellation / far-out deadlines / cancel churn, cross-thread
+// wakeup, the VOLLEY_POLL_LOOP / VOLLEY_URING
 // resolution helpers, the forced-io_uring backend, and the ReactorPool's
 // MPSC task queues (no lost wakeups, FIFO per producer — the TSan job
 // hammers these).
@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <mutex>
@@ -180,8 +181,8 @@ TEST(ReactorTimerTest, CallbackMayArmAnotherTimer) {
 }
 
 TEST(ReactorTimerTest, BeyondOneLapDeadlineSurvives) {
-  // The wheel spans 512 ms at 1 ms resolution; a 700 ms deadline wraps the
-  // ring and must not fire on the first pass over its slot.
+  // A far-out deadline (700 ms, past the span of the timer wheel this heap
+  // replaced) stays pending while a near one fires, and never fires early.
   Reactor r;
   bool far_fired = false;
   bool near_fired = false;
@@ -229,6 +230,82 @@ TEST(ReactorTimerTest, TimerNeverFiresEarly) {
                                                                   start)
                 .count(),
             50);
+}
+
+TEST(ReactorTimerTest, CancelChurnKeepsDeadlineAndRecordsBounded) {
+  // CoordinatorNode arms a 1000 ms poll timeout per poll and cancels it
+  // when the poll settles, thousands of times a second. The cancelled
+  // timers must neither hide the live deadline nor pile up as records.
+  Reactor r;
+  bool live_fired = false;
+  bool cancelled_fired = false;
+  const auto live = r.add_timer(5, [&] { live_fired = true; });
+  EXPECT_NE(live, 0U);  // the very first id (queue slot 0) is not 0
+  const auto live_due = r.next_deadline_ms();
+  ASSERT_TRUE(live_due.has_value());
+  bool issued_zero = false;
+  std::size_t max_records = 0;
+  for (int i = 0; i < 100000; ++i) {
+    const auto id = r.add_timer(1000, [&] { cancelled_fired = true; });
+    issued_zero = issued_zero || id == 0;
+    r.cancel_timer(id);
+    max_records = std::max(max_records, r.timer_records());
+  }
+  EXPECT_FALSE(issued_zero);
+  EXPECT_EQ(r.pending_timers(), 1U);
+  EXPECT_LE(max_records, 2 * r.pending_timers() + 1);
+  EXPECT_EQ(r.next_deadline_ms(), live_due);
+  r.cancel_timer(0);  // "no timer": a no-op
+  EXPECT_EQ(r.pending_timers(), 1U);
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(1000);
+  while (!live_fired && std::chrono::steady_clock::now() < deadline) {
+    r.run_once(50);
+  }
+  EXPECT_TRUE(live_fired);
+  EXPECT_FALSE(cancelled_fired);
+  EXPECT_EQ(r.pending_timers(), 0U);
+  EXPECT_FALSE(r.next_deadline_ms().has_value());
+}
+
+TEST(ReactorTimerTest, TimerArmedByCallbackWaitsForALaterTurn) {
+  Reactor r;
+  bool outer = false;
+  bool inner = false;
+  r.add_timer(0, [&] {
+    outer = true;
+    r.add_timer(0, [&] { inner = true; });
+  });
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(1000);
+  while (!outer && std::chrono::steady_clock::now() < deadline) {
+    r.run_once(50);
+  }
+  ASSERT_TRUE(outer);
+  EXPECT_FALSE(inner);  // not in the pass that armed it
+  EXPECT_EQ(r.pending_timers(), 1U);
+  while (!inner && std::chrono::steady_clock::now() < deadline) {
+    r.run_once(50);
+  }
+  EXPECT_TRUE(inner);
+}
+
+TEST(ReactorTimerTest, DueTogetherFireInArmingOrderAndMayCancelEachOther) {
+  Reactor r;
+  std::vector<int> order;
+  Reactor::TimerId victim = 0;
+  r.add_timer(1, [&] {
+    order.push_back(1);
+    r.cancel_timer(victim);  // due in this same turn: must not run
+  });
+  r.add_timer(1, [&] { order.push_back(2); });
+  victim = r.add_timer(1, [&] { order.push_back(3); });
+  r.add_timer(1, [&] { order.push_back(4); });
+  // All four are due once the sleep ends, so one turn runs them together.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(r.run_once(0), 3);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 4}));
+  EXPECT_EQ(r.pending_timers(), 0U);
 }
 
 TEST(ReactorTest, WakeupUnblocksFromAnotherThread) {
