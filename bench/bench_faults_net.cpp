@@ -88,7 +88,7 @@ NetRunResult run_session(const NetFaultPlan* plan) {
 
   NetRunResult result;
   result.polls = coordinator.global_polls();
-  result.alerts = coordinator.alerts().size();
+  result.alerts = static_cast<std::size_t>(coordinator.alert_count());
   result.faults = coordinator.fault_stats();
   for (const auto& node : nodes) {
     result.monitor_reconnects += node->reconnects();

@@ -360,7 +360,7 @@ NetOutcome run_net_fleet(std::size_t shards, std::size_t per_shard,
   out.run_seconds = bench::now_seconds() - t0;
 
   out.root_polls = root.global_polls();
-  out.root_alerts = root.alerts().size();
+  out.root_alerts = static_cast<std::size_t>(root.alert_count());
   for (const auto& aggregator : aggregators) {
     out.escalations += aggregator->escalations();
     out.summaries += aggregator->summaries_sent();

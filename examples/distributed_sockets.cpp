@@ -66,7 +66,7 @@ int main() {
   std::printf("  global polls: %lld, reallocations: %lld\n",
               static_cast<long long>(coordinator.global_polls()),
               static_cast<long long>(coordinator.reallocations()));
-  for (const auto& alert : coordinator.alerts()) {
+  for (const auto& alert : coordinator.recent_alerts()) {
     std::printf("  STATE ALERT at tick %lld: aggregate %.1f > %.1f\n",
                 static_cast<long long>(alert.tick), alert.value,
                 copt.global_threshold);
@@ -76,5 +76,5 @@ int main() {
                 id, static_cast<long long>(ops),
                 static_cast<long long>(kTicks));
   }
-  return coordinator.alerts().empty() ? 1 : 0;
+  return coordinator.alert_count() == 0 ? 1 : 0;
 }

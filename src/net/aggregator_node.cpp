@@ -53,9 +53,6 @@ AggregatorNode::AggregatorNode(const AggregatorNodeOptions& options)
   down.heartbeat_timeout_ms = options.heartbeat_timeout_ms;
   down.staleness_bound_ms = options.staleness_bound_ms;
   down.registry_path = options.registry_path;
-  down.poll_loop = options.poll_loop;
-  down.net_threads = options.net_threads;
-  down.uring = options.uring;
   // A settled subset poll above T_s is the shard's local violation one
   // level up; queue it for the upstream leg (this fires on the embedded
   // coordinator's thread).
@@ -196,6 +193,10 @@ std::optional<Message> AggregatorNode::control_roundtrip(
     if (!n || *n == 0) break;
     reader.feed(std::span<const std::byte>(buf.data(), *n));
     if (auto payload = reader.next()) return decode(*payload);
+    if (reader.failed()) {
+      count_protocol_error("aggregator");
+      break;
+    }
   }
   VLOG_WARN("aggregator", "loopback control round-trip failed");
   return std::nullopt;
@@ -304,6 +305,11 @@ void AggregatorNode::service_upstream(int timeout_ms) {
       }
       handle_upstream(*message);
       if (!connected_) return;
+    }
+    if (reader_.failed()) {
+      count_protocol_error("aggregator");
+      drop_connection();
+      return;
     }
   }
 }

@@ -1,7 +1,5 @@
 #include "net/chaos_proxy.h"
 
-#include <poll.h>
-
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -35,13 +33,11 @@ ChaosProxy::ChaosProxy(const ChaosProxyOptions& options)
 
 void ChaosProxy::cut(Link& link) {
   if (link.closed) return;
-  if (reactor_mode_) {
-    if (link.client.valid()) reactor_.remove_fd(link.client.fd());
-    if (link.upstream.valid()) reactor_.remove_fd(link.upstream.fd());
-    if (link.timer_armed) {
-      reactor_.cancel_timer(link.timer);
-      link.timer_armed = false;
-    }
+  if (link.client.valid()) reactor_.remove_fd(link.client.fd());
+  if (link.upstream.valid()) reactor_.remove_fd(link.upstream.fd());
+  if (link.timer_armed) {
+    reactor_.cancel_timer(link.timer);
+    link.timer_armed = false;
   }
   link.client.close();
   link.upstream.close();
@@ -110,6 +106,12 @@ void ChaosProxy::ingest(Link& link, bool from_client,
     admit_frame(link, from_client, std::move(*payload), now);
     if (link.closed) return;
   }
+  if (reader.failed()) {
+    // The stream cannot be reframed, so nothing more can be forwarded
+    // faithfully: cut the link as a disconnect would.
+    count_protocol_error("chaos");
+    cut(link);
+  }
 }
 
 void ChaosProxy::flush(Link& link, std::int64_t now) {
@@ -144,103 +146,14 @@ void ChaosProxy::flush(Link& link, std::int64_t now) {
   flush_direction(link.to_client, link.client);
 }
 
+// Byte flow and fault injection ride one reactor loop. An idle proxy (no
+// queued frames) sleeps in epoll with no timers armed — zero wakeups until
+// a byte arrives — and a held (delayed or split) frame arms one timer at
+// exactly its due time. Every link shares one fault-injection RNG, so
+// drop/delay/split decisions follow frame-arrival order — the determinism
+// the fault suites replay against.
 void ChaosProxy::run() {
-  if (resolve_poll_loop(options_.poll_loop)) {
-    run_poll_loop();
-  } else {
-    run_reactor();
-  }
-}
-
-// The pre-reactor 5 ms busy-poll, preserved as the behavioral baseline
-// behind VOLLEY_POLL_LOOP (plus the loop_wakeups_ count the tests compare).
-void ChaosProxy::run_poll_loop() {
-  std::array<std::byte, 8192> buf;
-  while (!stop_.load()) {
-    loop_wakeups_.fetch_add(1, std::memory_order_relaxed);
-    std::vector<pollfd> fds;
-    fds.push_back(pollfd{listener_.fd(), POLLIN, 0});
-    const std::size_t link_count = links_.size();
-    for (const auto& link : links_) {
-      // Closed links keep placeholder entries so indices line up.
-      const int cfd = link->closed ? -1 : link->client.fd();
-      const int ufd = link->closed ? -1 : link->upstream.fd();
-      fds.push_back(pollfd{cfd, POLLIN, 0});
-      fds.push_back(pollfd{ufd, POLLIN, 0});
-    }
-    const int ready = ::poll(fds.data(), fds.size(), 5);
-    if (ready < 0 && errno != EINTR) break;
-    const std::int64_t now = now_ms();
-
-    for (std::size_t i = 0; i < link_count; ++i) {
-      Link& link = *links_[i];
-      if (link.closed) continue;
-      for (int side = 0; side < 2; ++side) {
-        const bool from_client = side == 0;
-        if (!(fds[1 + 2 * i + side].revents & (POLLIN | POLLHUP | POLLERR)))
-          continue;
-        TcpConnection& in = from_client ? link.client : link.upstream;
-        const auto n = in.recv_some(buf);
-        if (!n) continue;
-        if (*n == 0) {
-          // One side hung up: flush what is queued, then mirror the close.
-          flush(link, now + (1 << 20));
-          cut(link);
-          break;
-        }
-        ingest(link, from_client,
-               std::span<const std::byte>(buf.data(), *n), now);
-        if (link.closed) break;
-      }
-    }
-
-    for (auto& link : links_) {
-      if (!link->closed) flush(*link, now);
-    }
-
-    if (fds[0].revents & POLLIN) {
-      while (auto client = listener_.accept()) {
-        auto upstream = TcpConnection::try_connect(
-            options_.upstream_host, options_.upstream_port,
-            options_.upstream_connect_timeout_ms);
-        if (!upstream) {
-          VLOG_WARN("chaos", "upstream refused; dropping client");
-          continue;
-        }
-        client->set_nonblocking(true);
-        upstream->set_nonblocking(true);
-        auto link = std::make_unique<Link>();
-        link->client = std::move(*client);
-        link->upstream = std::move(*upstream);
-        links_.push_back(std::move(link));
-        ++stats_.connections;
-      }
-    }
-
-    // Garbage-collect fully closed links.
-    std::erase_if(links_,
-                  [](const std::unique_ptr<Link>& l) { return l->closed; });
-  }
-  for (auto& link : links_) cut(*link);
-}
-
-// ---------------------------------------------------------------------------
-// Reactor path: byte flow and fault injection are identical; only the
-// waiting changes. An idle proxy (no queued frames) sleeps in epoll with no
-// timers armed — zero wakeups until a byte arrives — and a held (delayed or
-// split) frame arms one timer at exactly its due time.
-
-// The proxy stays single-loop on purpose even when VOLLEY_NET_THREADS > 1:
-// every link shares one fault-injection RNG, and sharding links across
-// threads would make drop/delay/split decisions order-dependent — the
-// determinism the fault suites replay against. The readiness backend
-// (epoll / io_uring via VOLLEY_URING) still applies.
-void ChaosProxy::run_reactor() {
-  reactor_mode_ = true;
-  VLOG_INFO("chaos_proxy", "reactor backend: ",
-            backend_name(reactor_.backend()));
-  reactor_.add_fd(listener_.fd(),
-                  [this](std::uint32_t) { reactor_on_accept(); });
+  reactor_.add_fd(listener_.fd(), [this](std::uint32_t) { on_accept(); });
   while (!stop_.load()) {
     reactor_.run_once(-1);
     loop_wakeups_.fetch_add(1, std::memory_order_relaxed);
@@ -251,10 +164,9 @@ void ChaosProxy::run_reactor() {
   }
   reactor_.remove_fd(listener_.fd());
   for (auto& link : links_) cut(*link);
-  reactor_mode_ = false;
 }
 
-void ChaosProxy::reactor_on_accept() {
+void ChaosProxy::on_accept() {
   while (auto client = listener_.accept()) {
     auto upstream = TcpConnection::try_connect(
         options_.upstream_host, options_.upstream_port,
@@ -272,17 +184,17 @@ void ChaosProxy::reactor_on_accept() {
     // Raw captures are safe: cut() deregisters both fds and the timer
     // before the link can be garbage-collected.
     reactor_.add_fd(raw->client.fd(), [this, raw](std::uint32_t ev) {
-      reactor_on_link(*raw, /*from_client=*/true, ev);
+      on_link(*raw, /*from_client=*/true, ev);
     });
     reactor_.add_fd(raw->upstream.fd(), [this, raw](std::uint32_t ev) {
-      reactor_on_link(*raw, /*from_client=*/false, ev);
+      on_link(*raw, /*from_client=*/false, ev);
     });
     links_.push_back(std::move(link));
     ++stats_.connections;
   }
 }
 
-void ChaosProxy::reactor_on_link(Link& link, bool from_client,
+void ChaosProxy::on_link(Link& link, bool from_client,
                                  std::uint32_t events) {
   if (link.closed || !Reactor::readable(events)) return;
   std::array<std::byte, 8192> buf;

@@ -46,9 +46,6 @@ struct ChaosProxyOptions {
   std::uint16_t upstream_port{0};
   int upstream_connect_timeout_ms{1000};
   NetFaultPlan plan;
-  /// Event-loop selection: -1 follows VOLLEY_POLL_LOOP, 0 forces the epoll
-  /// reactor, 1 forces the legacy 5 ms poll(2) loop.
-  int poll_loop{-1};
 };
 
 /// Injection accounting, readable after run() returns.
@@ -80,8 +77,7 @@ class ChaosProxy {
   const ChaosStats& stats() const { return stats_; }
 
   /// Event-loop turns so far, readable while run() is in flight. An idle
-  /// proxy on the reactor path performs zero wakeups between deadlines
-  /// (the legacy loop turned every 5 ms regardless) — asserted by the
+  /// proxy performs zero wakeups between deadlines — asserted by the
   /// NetFaults idle-proxy regression test.
   std::int64_t loop_wakeups() const {
     return loop_wakeups_.load(std::memory_order_relaxed);
@@ -104,17 +100,15 @@ class ChaosProxy {
     std::deque<QueuedFrame> to_client;
     std::int64_t frames{0};
     bool closed{false};
-    // Reactor path: one timer per link, armed at the earliest queued
-    // frame's due time (FIFO — only queue fronts can become actionable).
+    // One timer per link, armed at the earliest queued frame's due time
+    // (FIFO — only queue fronts can become actionable).
     Reactor::TimerId timer{0};
     bool timer_armed{false};
     std::int64_t timer_due{0};
   };
 
-  void run_poll_loop();  // the legacy 5 ms loop, preserved verbatim
-  void run_reactor();
-  void reactor_on_accept();
-  void reactor_on_link(Link& link, bool from_client, std::uint32_t events);
+  void on_accept();
+  void on_link(Link& link, bool from_client, std::uint32_t events);
   void schedule_link_timer(Link& link);
 
   void ingest(Link& link, bool from_client, std::span<const std::byte> data,
@@ -130,7 +124,6 @@ class ChaosProxy {
   Rng rng_;
   std::vector<std::unique_ptr<Link>> links_;
   Reactor reactor_;
-  bool reactor_mode_{false};
   std::atomic<bool> stop_{false};
   std::atomic<std::int64_t> loop_wakeups_{0};
   ChaosStats stats_;

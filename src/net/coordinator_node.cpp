@@ -1,7 +1,5 @@
 #include "net/coordinator_node.h"
 
-#include <poll.h>
-
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -83,9 +81,7 @@ double liveness_code(MonitorLiveness s) {
 }  // namespace
 
 CoordinatorNode::CoordinatorNode(const CoordinatorNodeOptions& options)
-    : options_(options),
-      listener_(options.port),
-      pool_(resolve_net_threads(options.net_threads), options.uring) {
+    : options_(options), listener_(options.port) {
   if (options.monitors == 0)
     throw std::invalid_argument("CoordinatorNode: monitors > 0");
   if (options.heartbeat_timeout_ms <= 0)
@@ -178,31 +174,17 @@ void CoordinatorNode::push_attach_all(const TaskRuntime& rt) {
   }
 }
 
-bool CoordinatorNode::send_to(MonitorId id, Session& session,
+void CoordinatorNode::send_to(MonitorId id, Session& session,
                               const Message& message) {
-  if (!session.connected) return false;
-  const auto payload = encode(message);
-  if (reactor_mode_) {
-    if (multi_loop_) {
-      // The session's FrameWriter lives on its owner loop; buffer the
-      // encoded frame home-side and batch-post it at the end of this turn
-      // (flush_dirty), so one turn's fan-out costs one task per loop.
-      session.pending_egress.push_back(frame_payload(payload));
-    } else {
-      // Queue; frames coalesce into one writev at the next flush_dirty()
-      // (or the EPOLLOUT drain if the kernel buffer is full). Peer loss
-      // surfaces there or on the read side — never a blocking write here.
-      session.out.enqueue(frame_payload(payload));
-    }
-    if (!session.dirty) {
-      session.dirty = true;
-      dirty_sessions_.push_back(id);
-    }
-    return true;
+  if (!session.connected) return;
+  // Queue; frames coalesce into one writev at the next flush_dirty() (or
+  // the EPOLLOUT drain if the kernel buffer is full). Peer loss surfaces
+  // there or on the read side — never a blocking write here.
+  session.out.enqueue(frame_payload(encode(message)));
+  if (!session.dirty) {
+    session.dirty = true;
+    dirty_sessions_.push_back(id);
   }
-  if (session.conn.send_all(frame_payload(payload))) return true;
-  disconnect_session(id, session);
-  return false;
 }
 
 void CoordinatorNode::broadcast(const Message& message) {
@@ -225,23 +207,20 @@ void CoordinatorNode::start_poll(TaskId task, TaskRuntime& rt, Tick tick) {
   rt.poll_values.clear();
   rt.poll_started_ms = now_ms();
   ++global_polls_;
-  if (reactor_mode_) {
-    // Reactor timer deadline instead of the legacy per-turn scan. The
-    // captured poll id guards against firing on a later poll of the same
-    // task: finish_poll cancels, but a timer mid-dispatch can still run.
-    const std::uint64_t poll_id = *rt.active_poll;
-    rt.poll_timer =
-        reactor_.add_timer(options_.poll_timeout_ms, [this, task, poll_id] {
-          auto it = tasks_.find(task);
-          if (it == tasks_.end()) return;
-          TaskRuntime& rt2 = it->second;
-          if (!rt2.active_poll || *rt2.active_poll != poll_id) return;
-          VLOG_WARN("coordinator", "global poll for task ", task,
-                    " timed out with ", rt2.poll_values.size(), "/",
-                    options_.monitors, " responses");
-          finish_poll(task, rt2);
-        });
-  }
+  // The captured poll id guards against firing on a later poll of the same
+  // task: finish_poll cancels, but a timer mid-dispatch can still run.
+  const std::uint64_t poll_id = *rt.active_poll;
+  rt.poll_timer =
+      reactor_.add_timer(options_.poll_timeout_ms, [this, task, poll_id] {
+        auto it = tasks_.find(task);
+        if (it == tasks_.end()) return;
+        TaskRuntime& rt2 = it->second;
+        if (!rt2.active_poll || *rt2.active_poll != poll_id) return;
+        VLOG_WARN("coordinator", "global poll for task ", task,
+                  " timed out with ", rt2.poll_values.size(), "/",
+                  options_.monitors, " responses");
+        finish_poll(task, rt2);
+      });
   broadcast(PollRequest{tick, *rt.active_poll, task});
   check_poll_completion(task, rt);  // every reachable monitor may be gone
 }
@@ -282,7 +261,8 @@ void CoordinatorNode::finish_poll(TaskId task, TaskRuntime& rt) {
   }
   const double threshold = rt.record.spec.global_threshold;
   if (sum > threshold) {
-    alerts_.push_back(GlobalAlert{rt.active_poll_tick, sum, task});
+    ++alert_count_;
+    recent_alerts_.push(GlobalAlert{rt.active_poll_tick, sum, task});
     NetCoordinatorMetrics::get().alerts->inc();
     if (obs::trace_enabled()) {
       obs::trace().record(obs::TraceKind::kAlertRaised, rt.active_poll_tick,
@@ -372,7 +352,7 @@ void CoordinatorNode::mark_suspect(MonitorId id, Session& session) {
   VLOG_WARN("coordinator", "monitor ", id, " is suspect");
   check_all_poll_completions();
   // The new suspect's dead-deadline may now be the earliest liveness event.
-  if (reactor_mode_) schedule_liveness_timer();
+  schedule_liveness_timer();
 }
 
 void CoordinatorNode::declare_dead(MonitorId id, Session& session) {
@@ -427,7 +407,7 @@ void CoordinatorNode::serve_stats(TcpConnection& conn,
   StatsReply reply;
   reply.global_polls = global_polls_;
   reply.reallocations = reallocations_;
-  reply.alerts = static_cast<std::int64_t>(alerts_.size());
+  reply.alerts = alert_count_;
   reply.metrics = (request.flags & StatsRequest::kMetricsJson)
                       ? obs::metrics().to_json()
                       : obs::metrics().to_prometheus();
@@ -618,15 +598,9 @@ void CoordinatorNode::serve_control(TcpConnection& conn,
 }
 
 void CoordinatorNode::disconnect_session(MonitorId id, Session& session) {
-  if (multi_loop_ && session.remote) {
-    detach_remote(session);
-  } else {
-    if (reactor_mode_ && session.conn.valid()) {
-      reactor_.remove_fd(session.conn.fd());
-    }
-    session.conn.close();
-    session.out.clear();  // undeliverable now; a reconnect resyncs instead
-  }
+  if (session.conn.valid()) reactor_.remove_fd(session.conn.fd());
+  session.conn.close();
+  session.out.clear();  // undeliverable now; a reconnect resyncs instead
   session.write_blocked = false;
   session.connected = false;
   if (!session.done) mark_suspect(id, session);
@@ -680,11 +654,7 @@ void CoordinatorNode::bind_session(PendingConn&& pending, const Hello& hello,
     Session& session = it->second;
     const bool was_dead = session.state == MonitorLiveness::kDead;
     const bool was_down = session.state != MonitorLiveness::kActive;
-    if (multi_loop_ && session.remote) {
-      detach_remote(session);  // the old connection's loop closes it
-    } else if (reactor_mode_ && session.conn.valid()) {
-      reactor_.remove_fd(session.conn.fd());
-    }
+    if (session.conn.valid()) reactor_.remove_fd(session.conn.fd());
     session.out.clear();  // frames addressed to the old connection
     session.write_blocked = false;
     session.conn.close();
@@ -720,12 +690,25 @@ void CoordinatorNode::bind_session(PendingConn&& pending, const Hello& hello,
     }
   }
   // Frames that followed Hello in the same burst are already buffered.
-  Session& session = it->second;
+  drain_session_frames(id, it->second);
+}
+
+bool CoordinatorNode::drain_session_frames(MonitorId id, Session& session) {
   while (auto payload = session.reader.next()) {
     const auto message = decode(*payload);
-    if (!message) continue;
+    if (!message) {
+      VLOG_WARN("coordinator", "dropping malformed frame");
+      continue;
+    }
     handle_message(id, session, *message);
+    if (!session.connected) return false;
   }
+  if (session.reader.failed()) {
+    count_protocol_error("coordinator");
+    disconnect_session(id, session);
+    return false;
+  }
+  return true;
 }
 
 void CoordinatorNode::handle_message(MonitorId id, Session& session,
@@ -810,186 +793,12 @@ void CoordinatorNode::handle_message(MonitorId id, Session& session,
   (void)id;
 }
 
+// A quiet coordinator sleeps in epoll until the next frame or the next due
+// deadline (liveness sweep, poll timeout, pending-Hello drop, idle guard).
 void CoordinatorNode::run() {
-  if (resolve_poll_loop(options_.poll_loop)) {
-    run_poll_loop();
-  } else {
-    run_reactor();
-  }
-}
-
-// The pre-reactor event loop, preserved as the behavioral baseline behind
-// VOLLEY_POLL_LOOP (plus the loop_wakeups_ count the bench compares).
-void CoordinatorNode::run_poll_loop() {
-  std::array<std::byte, 8192> buf;
-  std::int64_t last_activity_ms = now_ms();
-
-  while (!stop_.load()) {
-    loop_wakeups_.fetch_add(1, std::memory_order_relaxed);
-    if (all_joined() && finished_sessions() >= options_.monitors) break;
-
-    // fds: [0] listener, then pending connections, then live sessions.
-    std::vector<pollfd> fds;
-    std::vector<MonitorId> session_order;
-    fds.push_back(pollfd{listener_.fd(), POLLIN, 0});
-    const std::size_t pending_count = pending_.size();
-    for (const auto& pending : pending_) {
-      fds.push_back(pollfd{pending.conn.fd(), POLLIN, 0});
-    }
-    for (const auto& [id, session] : sessions_) {
-      if (!session.connected) continue;
-      fds.push_back(pollfd{session.conn.fd(), POLLIN, 0});
-      session_order.push_back(id);
-    }
-    const int ready = ::poll(fds.data(), fds.size(), 20);
-    if (ready < 0 && errno != EINTR) break;
-    const std::int64_t now = now_ms();
-
-    // Pending connections: wait for Hello, then bind to a session.
-    std::vector<PendingConn> still_pending;
-    for (std::size_t i = 0; i < pending_count; ++i) {
-      PendingConn& pending = pending_[i];
-      bool drop = false;
-      bool bound = false;
-      if (fds[1 + i].revents & (POLLIN | POLLHUP | POLLERR)) {
-        const auto n = pending.conn.recv_some(buf);
-        if (n && *n == 0) drop = true;
-        if (n && *n > 0) {
-          last_activity_ms = now;
-          pending.reader.feed(std::span<const std::byte>(buf.data(), *n));
-          while (auto payload = pending.reader.next()) {
-            const auto message = decode(*payload);
-            if (!message) continue;
-            if (const auto* hello = std::get_if<Hello>(&*message)) {
-              bind_session(std::move(pending), *hello);
-              bound = true;
-              break;
-            }
-            if (const auto* sh = std::get_if<ShardHello>(&*message)) {
-              // An aggregator joining as a shard session.
-              bind_session(std::move(pending), Hello{sh->shard, sh->resume},
-                           /*shard=*/true, sh->monitors);
-              bound = true;
-              break;
-            }
-            if (const auto* stats = std::get_if<StatsRequest>(&*message)) {
-              // Introspection client (e.g. tools/volley_stats): answer and
-              // drop; never a monitor.
-              serve_stats(pending.conn, *stats);
-              drop = true;
-              break;
-            }
-            if (is_control_request(*message)) {
-              // Control client (e.g. tools/volleyctl): mutate or list the
-              // task registry, answer, drop; never a monitor.
-              serve_control(pending.conn, *message);
-              drop = true;
-              break;
-            }
-            VLOG_WARN("coordinator", "dropping pre-Hello frame");
-          }
-        }
-      }
-      // A connection silent for a whole heartbeat timeout never said Hello.
-      if (!bound && !drop &&
-          now - pending.since_ms > options_.heartbeat_timeout_ms) {
-        drop = true;
-      }
-      if (!bound && !drop) still_pending.push_back(std::move(pending));
-    }
-    pending_ = std::move(still_pending);
-
-    // New connections (initial joins and reconnects alike); they are polled
-    // for their Hello from the next loop turn on.
-    if (fds[0].revents & POLLIN) {
-      while (auto conn = listener_.accept()) {
-        conn->set_nonblocking(true);
-        PendingConn pending;
-        pending.conn = std::move(*conn);
-        pending.since_ms = now;
-        pending_.push_back(std::move(pending));
-        last_activity_ms = now;
-      }
-    }
-
-    // Live sessions.
-    for (std::size_t i = 0; i < session_order.size(); ++i) {
-      const auto revents = fds[1 + pending_count + i].revents;
-      if (!(revents & (POLLIN | POLLHUP | POLLERR))) continue;
-      const MonitorId id = session_order[i];
-      Session& session = sessions_.at(id);
-      if (!session.connected) continue;
-      const auto n = session.conn.recv_some(buf);
-      if (!n) continue;
-      if (*n == 0) {
-        // Peer vanished. After Bye this is the normal end of a monitor;
-        // mid-session it makes the monitor suspect (it may reconnect).
-        disconnect_session(id, session);
-        continue;
-      }
-      last_activity_ms = now;
-      session.last_seen_ms = now;
-      session.reader.feed(std::span<const std::byte>(buf.data(), *n));
-      while (auto payload = session.reader.next()) {
-        const auto message = decode(*payload);
-        if (!message) {
-          VLOG_WARN("coordinator", "dropping malformed frame");
-          continue;
-        }
-        handle_message(id, session, *message);
-      }
-    }
-
-    // Liveness deadlines: silent -> suspect -> dead.
-    for (auto& [id, session] : sessions_) {
-      if (session.done) continue;
-      if (session.state == MonitorLiveness::kActive &&
-          now - session.last_seen_ms > options_.heartbeat_timeout_ms) {
-        mark_suspect(id, session);
-      } else if (session.state == MonitorLiveness::kSuspect &&
-                 now - session.suspect_since_ms >
-                     options_.staleness_bound_ms) {
-        declare_dead(id, session);
-      }
-    }
-
-    // Poll timeouts: settle each task with whatever arrived.
-    for (auto& [task, rt] : tasks_) {
-      if (rt.active_poll &&
-          now - rt.poll_started_ms > options_.poll_timeout_ms) {
-        VLOG_WARN("coordinator", "global poll for task ", task,
-                  " timed out with ", rt.poll_values.size(), "/",
-                  options_.monitors, " responses");
-        finish_poll(task, rt);
-      }
-    }
-    // Idle guard: a fully silent session means lost monitors; bail out.
-    if (now - last_activity_ms > options_.idle_timeout_ms) {
-      VLOG_ERROR("coordinator", "session idle too long; aborting");
-      break;
-    }
-  }
-
-  // request_stop() simulates a crash: vanish without a Shutdown so monitors
-  // exercise their reconnect path against a successor.
-  if (!stop_.load()) broadcast(Shutdown{});
-}
-
-// ---------------------------------------------------------------------------
-// Reactor path: same protocol handlers, event-driven dispatch. A quiet
-// coordinator sleeps in epoll until the next frame or the next due deadline
-// (liveness sweep, poll timeout, pending-Hello drop, idle guard) instead of
-// scanning every session 50x/s.
-
-void CoordinatorNode::run_reactor() {
-  reactor_mode_ = true;
-  multi_loop_ = pool_.size() > 1;
   idle_abort_ = false;
   last_activity_ms_ = now_ms();
-  pool_.enable_loop_stats();
-  pool_.start();  // no-op when size() == 1
-  reactor_.add_fd(listener_.fd(),
-                  [this](std::uint32_t) { reactor_on_accept(); });
+  reactor_.add_fd(listener_.fd(), [this](std::uint32_t) { on_accept(); });
   schedule_idle_timer();
 
   while (!stop_.load()) {
@@ -997,85 +806,56 @@ void CoordinatorNode::run_reactor() {
     if (idle_abort_) break;
     reactor_.run_once(-1);
     loop_wakeups_.fetch_add(1, std::memory_order_relaxed);
-    // Cross-loop inbox: decoded ingress batches and peer-gone notices
-    // posted by the worker loops run here, on the protocol state's thread.
-    if (multi_loop_) pool_.drain_tasks(0);
     // Deferred egress: every frame queued during this turn's dispatch
-    // (acks, attaches, poll fan-out) coalesces into one writev per session
-    // (single-loop) or one task per owner loop (multi-loop).
+    // (acks, attaches, poll fan-out) coalesces into one writev per session.
     flush_dirty();
   }
   reactor_.remove_fd(listener_.fd());
-  for (const auto& [fd, pending] : reactor_pending_) {
+  for (const auto& [fd, pending] : pending_) {
     (void)pending;
     reactor_.remove_fd(fd);
   }
-  reactor_pending_.clear();
+  pending_.clear();
 
+  // request_stop() simulates a crash: vanish without a Shutdown so monitors
+  // exercise their reconnect path against a successor.
   if (!stop_.load()) {
     broadcast(Shutdown{});
-    flush_dirty();  // multi-loop: posts the farewell to the owner loops
     // The loop is exiting, so drain the farewell synchronously.
     for (auto& [id, session] : sessions_) {
       (void)id;
-      if (session.remote) {
-        // Posted after the egress batch (same producer, FIFO): the worker
-        // enqueues the Shutdown frame first, then this drain runs.
-        const auto io = session.remote;
-        const int timeout_ms = options_.heartbeat_timeout_ms;
-        pool_.post(io->loop, [io, timeout_ms] {
-          if (!io->gone && !io->out.empty()) {
-            io->out.flush_blocking(io->conn.fd(), timeout_ms);
-          }
-        });
-      } else if (session.connected && !session.out.empty()) {
+      if (session.connected && !session.out.empty()) {
         session.out.flush_blocking(session.conn.fd(),
                                    options_.heartbeat_timeout_ms);
       }
     }
   }
-  // Workers drain their queues once more after the stop flag, then join;
-  // past this point the worker loops' state is safe to touch from here.
-  pool_.stop();
   for (auto& [id, session] : sessions_) {
     (void)id;
-    if (session.remote) {
-      if (!session.remote->gone) {
-        pool_.loop(session.remote->loop).remove_fd(session.remote->conn.fd());
-        session.remote->conn.close();
-        session.remote->gone = true;
-      }
-      session.remote.reset();
-      session.connected = false;
-    }
     if (session.conn.valid()) reactor_.remove_fd(session.conn.fd());
-    session.pending_egress.clear();
   }
   dirty_sessions_.clear();
-  reactor_mode_ = false;
-  multi_loop_ = false;
 }
 
-void CoordinatorNode::reactor_on_accept() {
+void CoordinatorNode::on_accept() {
   while (auto conn = listener_.accept()) {
     conn->set_nonblocking(true);
     const int fd = conn->fd();
     PendingConn pending;
     pending.conn = std::move(*conn);
     pending.since_ms = now_ms();
-    reactor_pending_.emplace(fd, std::move(pending));
-    reactor_.add_fd(fd, [this, fd](std::uint32_t events) {
-      reactor_on_pending(fd, events);
-    });
+    pending_.emplace(fd, std::move(pending));
+    reactor_.add_fd(fd,
+                    [this, fd](std::uint32_t events) { on_pending(fd, events); });
     last_activity_ms_ = now_ms();
   }
   schedule_pending_timer();
 }
 
-void CoordinatorNode::reactor_on_pending(int fd, std::uint32_t events) {
+void CoordinatorNode::on_pending(int fd, std::uint32_t events) {
   if (!Reactor::readable(events)) return;
-  auto it = reactor_pending_.find(fd);
-  if (it == reactor_pending_.end()) return;
+  auto it = pending_.find(fd);
+  if (it == pending_.end()) return;
   PendingConn& pending = it->second;
   std::array<std::byte, 8192> buf;
   bool drop = false;
@@ -1119,28 +899,21 @@ void CoordinatorNode::reactor_on_pending(int fd, std::uint32_t events) {
       }
       VLOG_WARN("coordinator", "dropping pre-Hello frame");
     }
+    if (pending.reader.failed()) {
+      count_protocol_error("coordinator");
+      drop = true;
+    }
   }
   if (bound) {
     PendingConn taken = std::move(it->second);
-    reactor_pending_.erase(it);
+    pending_.erase(it);
     bind_session(std::move(taken), hello, shard_hello, shard_weight);
     const auto sit = sessions_.find(hello.monitor);
     if (sit != sessions_.end() && sit->second.connected &&
         sit->second.conn.fd() == fd) {
       const MonitorId id = hello.monitor;
-      if (multi_loop_) {
-        // Hand the session's I/O to its owner loop: the fd leaves the home
-        // reactor for good, and this turn's flush_dirty posts the frames
-        // bind_session queued (attaches, allowance resync) right behind
-        // the install task — same producer, FIFO, so the registration is
-        // in place first.
-        reactor_.remove_fd(fd);
-        install_remote(id, sit->second);
-      } else {
-        reactor_.update_handler(fd, [this, id](std::uint32_t ev) {
-          reactor_on_session(id, ev);
-        });
-      }
+      reactor_.update_handler(
+          fd, [this, id](std::uint32_t ev) { on_session(id, ev); });
       schedule_liveness_timer();
     } else if (reactor_.watching(fd)) {
       // bind_session refused (extra monitor) or tore the session down while
@@ -1149,11 +922,11 @@ void CoordinatorNode::reactor_on_pending(int fd, std::uint32_t events) {
     }
   } else if (drop) {
     reactor_.remove_fd(fd);
-    reactor_pending_.erase(it);
+    pending_.erase(it);
   }
 }
 
-void CoordinatorNode::reactor_on_session(MonitorId id, std::uint32_t events) {
+void CoordinatorNode::on_session(MonitorId id, std::uint32_t events) {
   const auto it = sessions_.find(id);
   if (it == sessions_.end()) return;
   Session& session = it->second;
@@ -1177,15 +950,7 @@ void CoordinatorNode::reactor_on_session(MonitorId id, std::uint32_t events) {
     last_activity_ms_ = now;
     session.last_seen_ms = now;
     session.reader.feed(std::span<const std::byte>(buf.data(), *n));
-    while (auto payload = session.reader.next()) {
-      const auto message = decode(*payload);
-      if (!message) {
-        VLOG_WARN("coordinator", "dropping malformed frame");
-        continue;
-      }
-      handle_message(id, session, *message);
-      if (!session.connected) return;
-    }
+    if (!drain_session_frames(id, session)) return;
   }
 }
 
@@ -1211,41 +976,6 @@ void CoordinatorNode::flush_session(MonitorId id, Session& session) {
 }
 
 void CoordinatorNode::flush_dirty() {
-  if (multi_loop_) {
-    // Group this turn's egress by owner loop: a poll fan-out to 4k
-    // sessions costs one posted task per loop, not one per session. Each
-    // loop then enqueues and flushes its own sessions' frames.
-    std::map<std::size_t,
-             std::vector<std::pair<std::shared_ptr<RemoteIo>,
-                                   std::vector<std::vector<std::byte>>>>>
-        per_loop;
-    for (std::size_t i = 0; i < dirty_sessions_.size(); ++i) {
-      const MonitorId id = dirty_sessions_[i];
-      const auto it = sessions_.find(id);
-      if (it == sessions_.end()) continue;
-      Session& session = it->second;
-      session.dirty = false;
-      if (session.pending_egress.empty()) continue;
-      if (!session.connected || !session.remote) {
-        session.pending_egress.clear();  // torn down before the flush
-        continue;
-      }
-      per_loop[session.remote->loop].emplace_back(
-          session.remote, std::move(session.pending_egress));
-      session.pending_egress.clear();
-    }
-    dirty_sessions_.clear();
-    for (auto& [loop, batches] : per_loop) {
-      pool_.post(loop, [this, work = std::move(batches)]() mutable {
-        for (auto& [io, frames] : work) {
-          if (io->gone) continue;
-          for (auto& frame : frames) io->out.enqueue(std::move(frame));
-          remote_flush(io);
-        }
-      });
-    }
-    return;
-  }
   // send_to may mark more sessions dirty while flushing (disconnect ->
   // suspect -> reallocation pushes); index iteration covers appends.
   for (std::size_t i = 0; i < dirty_sessions_.size(); ++i) {
@@ -1258,147 +988,6 @@ void CoordinatorNode::flush_dirty() {
     flush_session(id, session);
   }
   dirty_sessions_.clear();
-}
-
-// ---------------------------------------------------------------------------
-// Multi-loop plumbing (DESIGN.md §14). The protocol state machine stays on
-// the home thread; a bound session's socket moves to a sticky owner loop
-// that does all its recv/decode/writev work. The two sides talk only
-// through ReactorPool::post — decoded Message batches inbound, encoded
-// frame batches outbound — with conn_epoch guarding reconnect races.
-
-void CoordinatorNode::install_remote(MonitorId id, Session& session) {
-  auto io = std::make_shared<RemoteIo>();
-  io->conn = std::move(session.conn);
-  io->reader = std::move(session.reader);
-  io->id = id;
-  // Sticky owner loop: assigned round-robin at first bind, reused on every
-  // reconnect — a session never migrates loops mid-life.
-  io->loop = session_loop_.try_emplace(id, pool_.next_loop()).first->second;
-  io->epoch = ++session.conn_epoch;
-  session.remote = io;
-  pool_.post(io->loop, [this, io] {
-    if (io->gone) return;
-    pool_.loop(io->loop).add_fd(io->conn.fd(), [this, io](std::uint32_t ev) {
-      remote_on_event(io, ev);
-    });
-  });
-}
-
-void CoordinatorNode::detach_remote(Session& session) {
-  const auto io = session.remote;
-  pool_.post(io->loop, [this, io] { remote_close(io); });
-  session.remote.reset();
-  ++session.conn_epoch;  // in-flight ingress from the old conn is now stale
-  session.pending_egress.clear();
-}
-
-void CoordinatorNode::home_ingress(MonitorId id, std::uint64_t epoch,
-                                   std::vector<Message>& batch) {
-  const auto it = sessions_.find(id);
-  if (it == sessions_.end()) return;
-  Session& session = it->second;
-  if (!session.connected || session.conn_epoch != epoch) return;
-  const std::int64_t now = now_ms();
-  last_activity_ms_ = now;
-  session.last_seen_ms = now;
-  for (Message& message : batch) {
-    if (!session.connected) break;  // a handler tore the session down
-    handle_message(id, session, message);
-  }
-}
-
-void CoordinatorNode::home_peer_gone(MonitorId id, std::uint64_t epoch) {
-  const auto it = sessions_.find(id);
-  if (it == sessions_.end()) return;
-  Session& session = it->second;
-  if (session.conn_epoch != epoch) return;  // already superseded
-  // The owner loop closed the fd before posting; only the bookkeeping half
-  // of disconnect_session remains.
-  session.remote.reset();
-  ++session.conn_epoch;
-  session.pending_egress.clear();
-  session.write_blocked = false;
-  session.connected = false;
-  if (!session.done) mark_suspect(id, session);
-}
-
-void CoordinatorNode::remote_on_event(const std::shared_ptr<RemoteIo>& io,
-                                      std::uint32_t events) {
-  if (io->gone) return;
-  if (Reactor::writable(events) && !io->out.empty()) {
-    remote_flush(io);
-    if (io->gone) return;
-  }
-  if (!Reactor::readable(events)) return;
-  // Batched ingress, decoded here: the home thread pays one task per
-  // socket drain, not one syscall + parse per frame.
-  std::array<std::byte, 8192> buf;
-  std::vector<Message> batch;
-  bool peer_gone = false;
-  while (true) {
-    const auto n = io->conn.recv_some(buf);
-    if (!n) break;  // drained to EAGAIN
-    if (*n == 0) {
-      peer_gone = true;
-      break;
-    }
-    io->reader.feed(std::span<const std::byte>(buf.data(), *n));
-    while (auto payload = io->reader.next()) {
-      auto message = decode(*payload);
-      if (!message) {
-        VLOG_WARN("coordinator", "dropping malformed frame");
-        continue;
-      }
-      batch.push_back(std::move(*message));
-    }
-  }
-  if (!batch.empty()) {
-    pool_.post(0, [this, id = io->id, epoch = io->epoch,
-                   work = std::move(batch)]() mutable {
-      home_ingress(id, epoch, work);
-    });
-  }
-  if (peer_gone) {
-    remote_close(io);
-    pool_.post(0, [this, id = io->id, epoch = io->epoch] {
-      home_peer_gone(id, epoch);
-    });
-  }
-}
-
-void CoordinatorNode::remote_flush(const std::shared_ptr<RemoteIo>& io) {
-  Reactor& r = pool_.loop(io->loop);
-  const int fd = io->conn.fd();
-  switch (io->out.flush(fd)) {
-    case FrameWriter::FlushResult::kDrained:
-      if (io->write_blocked) {
-        r.set_want_write(fd, false);
-        io->write_blocked = false;
-      }
-      break;
-    case FrameWriter::FlushResult::kBlocked:
-      if (!io->write_blocked) {
-        r.set_want_write(fd, true);  // EAGAIN backpressure, owner-loop local
-        io->write_blocked = true;
-      }
-      break;
-    case FrameWriter::FlushResult::kPeerGone: {
-      const MonitorId id = io->id;
-      const std::uint64_t epoch = io->epoch;
-      remote_close(io);
-      pool_.post(0, [this, id, epoch] { home_peer_gone(id, epoch); });
-      break;
-    }
-  }
-}
-
-void CoordinatorNode::remote_close(const std::shared_ptr<RemoteIo>& io) {
-  if (io->gone) return;
-  pool_.loop(io->loop).remove_fd(io->conn.fd());
-  io->conn.close();
-  io->out.clear();
-  io->gone = true;
 }
 
 void CoordinatorNode::liveness_sweep() {
@@ -1452,9 +1041,9 @@ void CoordinatorNode::schedule_liveness_timer() {
 }
 
 void CoordinatorNode::schedule_pending_timer() {
-  if (pending_timer_armed_ || reactor_pending_.empty()) return;
-  std::int64_t min_since = reactor_pending_.begin()->second.since_ms;
-  for (const auto& [fd, pending] : reactor_pending_) {
+  if (pending_timer_armed_ || pending_.empty()) return;
+  std::int64_t min_since = pending_.begin()->second.since_ms;
+  for (const auto& [fd, pending] : pending_) {
     (void)fd;
     min_since = std::min(min_since, pending.since_ms);
   }
@@ -1463,11 +1052,11 @@ void CoordinatorNode::schedule_pending_timer() {
   pending_timer_ = reactor_.add_timer(delay, [this] {
     pending_timer_armed_ = false;
     const std::int64_t now = now_ms();
-    for (auto it = reactor_pending_.begin(); it != reactor_pending_.end();) {
+    for (auto it = pending_.begin(); it != pending_.end();) {
       // A connection silent for a whole heartbeat timeout never said Hello.
       if (now - it->second.since_ms > options_.heartbeat_timeout_ms) {
         reactor_.remove_fd(it->first);
-        it = reactor_pending_.erase(it);
+        it = pending_.erase(it);
       } else {
         ++it;
       }

@@ -1,9 +1,8 @@
 // A runnable Volley coordinator speaking the wire protocol over TCP.
 //
-// The coordinator accepts the expected number of monitors, then runs an
-// event loop — the epoll reactor (net/reactor.h: readiness dispatch, batched
-// writev egress, timer deadlines) by default, or the legacy 20 ms poll(2)
-// loop under VOLLEY_POLL_LOOP — handling:
+// The coordinator accepts the expected number of monitors, then runs one
+// epoll reactor loop (net/reactor.h: readiness dispatch, batched writev
+// egress, timer deadlines) handling:
 //  * LocalViolation  -> start a global poll for the violated task (coincident
 //    violations while that task's poll is in flight are absorbed by it, as in
 //    the paper: one global poll answers "is the global condition violated
@@ -68,7 +67,6 @@
 #include "net/framing.h"
 #include "net/messages.h"
 #include "net/reactor.h"
-#include "net/reactor_pool.h"
 #include "net/socket.h"
 
 namespace volley::net {
@@ -86,21 +84,6 @@ struct CoordinatorNodeOptions {
   /// When non-empty, the task registry persists to `<path>.snapshot` /
   /// `<path>.journal` and is restored from them on construction.
   std::string registry_path{};
-  /// Event-loop selection: -1 follows VOLLEY_POLL_LOOP, 0 forces the epoll
-  /// reactor, 1 forces the legacy poll(2) loop (benches run both in-process).
-  int poll_loop{-1};
-  /// Reactor loop count (DESIGN.md §14): -1 follows VOLLEY_NET_THREADS,
-  /// otherwise the count itself (>= 1). 1 = the single-loop runtime,
-  /// behavior-identical to before the pool existed. With N > 1 the run()
-  /// thread keeps loop 0 (listener, protocol state, timers) and session
-  /// I/O shards round-robin across loops 1..N-1, one loop per session for
-  /// its whole life. Only the reactor path shards; the legacy poll(2) loop
-  /// ignores this.
-  int net_threads{-1};
-  /// Readiness backend: -1 follows VOLLEY_URING, 0 forces epoll, 1 forces
-  /// io_uring (falls back to epoll when unsupported; benches force both
-  /// in one process).
-  int uring{-1};
   // --- shard tier (DESIGN.md §13) -----------------------------------------
   /// Total downstream weight behind this coordinator's sessions. A *root*
   /// coordinator over S aggregators sets monitors = S and total_weight = the
@@ -109,8 +92,10 @@ struct CoordinatorNodeOptions {
   /// `monitors` — every session weighs 1, the flat fleet unchanged.
   std::size_t total_weight{0};
   /// Invoked from run()'s thread whenever a settled global poll exceeds the
-  /// task's threshold (alongside the GlobalAlert record). An aggregator's
-  /// embedded coordinator uses this to escalate a local violation upstream.
+  /// task's threshold. The node itself keeps only an alert count and the
+  /// last kAlertWindow alerts, so a caller that needs every alert (a daemon
+  /// printing them, a soak scoring them) collects them here; an
+  /// aggregator's embedded coordinator uses it to escalate upstream.
   std::function<void(TaskId task, Tick tick, double value)> on_alert{};
 };
 
@@ -152,11 +137,10 @@ class CoordinatorNode {
   /// coordinator crash. Monitors are expected to reconnect to a successor.
   void request_stop() {
     stop_.store(true);
-    pool_.wakeup_all();  // every sleeping loop re-checks stop_ now
+    reactor_.wakeup();  // a sleeping loop re-checks stop_ now
   }
 
-  // Live counters, readable from other threads while run() is in flight
-  // (bench_net_scale samples them across its idle/load windows).
+  // Live counters, readable from other threads while run() is in flight.
   std::int64_t loop_wakeups() const {
     return loop_wakeups_.load(std::memory_order_relaxed);
   }
@@ -179,7 +163,15 @@ class CoordinatorNode {
 
   // Results, valid after run() returns.
   std::int64_t global_polls() const { return global_polls_; }
-  const std::vector<GlobalAlert>& alerts() const { return alerts_; }
+  /// Alerts raised over the node's life.
+  std::int64_t alert_count() const { return alert_count_; }
+  /// The last kAlertWindow alerts, oldest first. A fixed ring like the
+  /// poll-settle window: a long-lived daemon does not grow one entry per
+  /// alert (collect every alert through options.on_alert instead).
+  std::vector<GlobalAlert> recent_alerts() const {
+    return recent_alerts_.to_vector();
+  }
+  static constexpr std::size_t kAlertWindow = 1024;
   std::int64_t reallocations() const { return reallocations_; }
   const NetFaultStats& fault_stats() const { return fault_stats_; }
   /// Per-monitor op totals from Bye messages (monitor id -> ops).
@@ -194,17 +186,6 @@ class CoordinatorNode {
     return registry_load_stats_;
   }
 
-  /// Loop count actually running (1 = single-loop) and the readiness
-  /// backend behind every loop.
-  std::size_t net_threads() const { return pool_.size(); }
-  ReactorBackend reactor_backend() const { return pool_.backend(); }
-  /// Which loop each session's I/O lived on (sticky for the session's whole
-  /// life, reconnects included — the no-migration invariant tests assert).
-  /// Read after run() returns.
-  const std::map<MonitorId, std::size_t>& session_loops() const {
-    return session_loop_;
-  }
-
   // --- shard export (thread-safe; read by an embedding AggregatorNode) ----
   /// The latest settled poll aggregate for a task (0.0 before the first
   /// poll). An aggregator answers upstream PollRequests with this cached
@@ -217,36 +198,10 @@ class CoordinatorNode {
   std::vector<ShardSummary> drain_shard_summaries(std::uint32_t shard_id);
 
  private:
-  /// A session's I/O half when it lives on a worker loop (multi-loop mode,
-  /// DESIGN.md §14). Exclusively owned by that loop's thread from the
-  /// install task onward: the fd, reader, writer, and backpressure flag are
-  /// touched there and nowhere else. The home thread only constructs it,
-  /// captures the shared_ptr into posted tasks, and reads the immutable
-  /// id/loop/epoch fields. Ingress flows home as decoded Message batches;
-  /// egress arrives as encoded frame batches. `epoch` is the session's
-  /// connection generation — home drops ingress posted by a connection it
-  /// has since torn down (reconnect races).
-  struct RemoteIo {
-    TcpConnection conn;
-    FrameReader reader;
-    FrameWriter out;
-    bool write_blocked{false};
-    bool gone{false};  // closed and deregistered (worker-thread flag)
-    MonitorId id{0};
-    std::uint64_t epoch{0};
-    std::size_t loop{0};
-  };
-
   struct Session {
     TcpConnection conn;
     FrameReader reader;
-    FrameWriter out;  // reactor path: batched egress queue
-    /// Multi-loop mode: the session's I/O, owned by loop `remote->loop`.
-    /// While set, conn/reader/out above are moved-out husks.
-    std::shared_ptr<RemoteIo> remote;
-    std::uint64_t conn_epoch{0};  // bumps per (re)connect and teardown
-    /// Encoded frames awaiting the end-of-turn batch post to the owner loop.
-    std::vector<std::vector<std::byte>> pending_egress;
+    FrameWriter out;  // batched egress queue
     MonitorLiveness state{MonitorLiveness::kActive};
     bool done{false};
     bool connected{true};
@@ -282,7 +237,7 @@ class CoordinatorNode {
     Tick active_poll_tick{0};
     std::map<MonitorId, double> poll_values;
     std::int64_t poll_started_ms{0};
-    Reactor::TimerId poll_timer{0};         // reactor path: timeout timer
+    Reactor::TimerId poll_timer{0};         // timeout timer
     std::optional<Tick> pending_poll_tick;  // violation before full house
 
     // Stats-report state.
@@ -320,35 +275,15 @@ class CoordinatorNode {
   TaskAttach make_attach(const TaskRuntime& rt, MonitorId id) const;
   void push_attach_all(const TaskRuntime& rt);
 
-  // Event loops: run() picks per options_.poll_loop / VOLLEY_POLL_LOOP.
-  void run_poll_loop();  // the legacy poll(2) loop, preserved verbatim
-  void run_reactor();
-
-  // Reactor-path plumbing.
-  void reactor_on_accept();
-  void reactor_on_pending(int fd, std::uint32_t events);
-  void reactor_on_session(MonitorId id, std::uint32_t events);
+  // Event-loop handlers.
+  void on_accept();
+  void on_pending(int fd, std::uint32_t events);
+  void on_session(MonitorId id, std::uint32_t events);
+  /// Decodes and handles every complete frame buffered for a session; a
+  /// framing violation drops the peer. False once the session is gone.
+  bool drain_session_frames(MonitorId id, Session& session);
   void flush_session(MonitorId id, Session& session);
   void flush_dirty();
-
-  // Multi-loop plumbing (DESIGN.md §14). Home-thread side:
-  /// Moves a freshly bound session's conn/reader onto its (sticky) owner
-  /// loop and posts the fd registration there.
-  void install_remote(MonitorId id, Session& session);
-  /// Posts teardown of the session's RemoteIo to its owner loop and bumps
-  /// conn_epoch so in-flight ingress from the old connection is dropped.
-  void detach_remote(Session& session);
-  /// Applies a worker's decoded ingress batch (liveness refresh + protocol
-  /// handlers); drops the batch when `epoch` is stale.
-  void home_ingress(MonitorId id, std::uint64_t epoch,
-                    std::vector<Message>& batch);
-  /// A worker saw the peer vanish (fd already closed worker-side).
-  void home_peer_gone(MonitorId id, std::uint64_t epoch);
-  // Worker-thread side (owner loop only):
-  void remote_on_event(const std::shared_ptr<RemoteIo>& io,
-                       std::uint32_t events);
-  void remote_flush(const std::shared_ptr<RemoteIo>& io);
-  void remote_close(const std::shared_ptr<RemoteIo>& io);
   void liveness_sweep();
   /// (Re)arms the single coalesced liveness timer at the earliest
   /// suspect/dead deadline across all sessions.
@@ -367,7 +302,8 @@ class CoordinatorNode {
   void redistribute_and_push();
   void disconnect_session(MonitorId id, Session& session);
   void broadcast(const Message& message);
-  bool send_to(MonitorId id, Session& session, const Message& message);
+  /// Queues a frame for the end-of-turn flush; a no-op when disconnected.
+  void send_to(MonitorId id, Session& session, const Message& message);
   bool all_joined() const { return sessions_.size() >= options_.monitors; }
   std::size_t finished_sessions() const;
   /// Fleet weight: total_weight when configured (root over shards), else
@@ -383,16 +319,9 @@ class CoordinatorNode {
   CoordinatorNodeOptions options_;
   TcpListener listener_;
   std::map<MonitorId, Session> sessions_;
-  std::vector<PendingConn> pending_;  // legacy loop's pre-Hello connections
 
-  ReactorPool pool_;
-  Reactor& reactor_{pool_.loop(0)};  // the home loop, run()'s thread
-  bool reactor_mode_{false};  // set for run()'s lifetime on the reactor path
-  bool multi_loop_{false};    // reactor path with pool_.size() > 1
-  /// Sticky session -> owner-loop map; entries are never overwritten (the
-  /// no-migration invariant) and survive reconnects.
-  std::map<MonitorId, std::size_t> session_loop_;
-  std::map<int, PendingConn> reactor_pending_;  // keyed by fd (stable refs)
+  Reactor reactor_;
+  std::map<int, PendingConn> pending_;  // keyed by fd (stable refs)
   std::vector<MonitorId> dirty_sessions_;
   std::int64_t last_activity_ms_{0};
   bool idle_abort_{false};
@@ -417,7 +346,8 @@ class CoordinatorNode {
   RingBuffer<double> poll_settle_ms_{kPollSettleWindow};
   std::int64_t global_polls_{0};
   std::int64_t reallocations_{0};
-  std::vector<GlobalAlert> alerts_;
+  std::int64_t alert_count_{0};
+  RingBuffer<GlobalAlert> recent_alerts_{kAlertWindow};
   NetFaultStats fault_stats_;
   std::map<MonitorId, std::int64_t> reported_ops_;
 

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "common/log.h"
 #include "net/io_counters.h"
 #include "obs/metrics.h"
 
@@ -20,11 +21,15 @@ std::vector<std::byte> frame_payload(std::span<const std::byte> payload) {
   std::vector<std::byte> out(4 + payload.size());
   const auto len = static_cast<std::uint32_t>(payload.size());
   std::memcpy(out.data(), &len, 4);  // little-endian on all supported targets
-  std::memcpy(out.data() + 4, payload.data(), payload.size());
+  // An empty span's data() may be null, which memcpy must never see.
+  if (!payload.empty()) {
+    std::memcpy(out.data() + 4, payload.data(), payload.size());
+  }
   return out;
 }
 
 void FrameReader::feed(std::span<const std::byte> data) {
+  if (failed_) return;
   if (offset_ == buffer_.size()) {
     buffer_.clear();
     offset_ = 0;
@@ -37,8 +42,12 @@ std::optional<std::vector<std::byte>> FrameReader::next() {
   if (avail < 4) return std::nullopt;
   std::uint32_t len = 0;
   std::memcpy(&len, buffer_.data() + offset_, 4);
-  if (len > kMaxFrameBytes)
-    throw std::runtime_error("FrameReader: oversized frame");
+  if (len > kMaxFrameBytes) {
+    failed_ = true;
+    buffer_ = {};
+    offset_ = 0;
+    return std::nullopt;
+  }
   if (avail < 4 + static_cast<std::size_t>(len)) return std::nullopt;
   const auto begin = buffer_.begin() + static_cast<std::ptrdiff_t>(offset_);
   std::vector<std::byte> payload(begin + 4, begin + 4 + len);
@@ -55,6 +64,18 @@ std::optional<std::vector<std::byte>> FrameReader::next() {
 }
 
 namespace {
+
+struct ProtocolMetrics {
+  obs::Counter* errors{nullptr};
+};
+
+const ProtocolMetrics& protocol_metrics() {
+  static auto make = [](obs::MetricsRegistry& m) {
+    return ProtocolMetrics{&m.counter("volley_net_protocol_errors_total",
+                                      "Peers dropped for a framing violation")};
+  };
+  return obs::scoped_handles<ProtocolMetrics>(make);
+}
 
 struct WriterMetrics {
   obs::Counter* writev_calls{nullptr};
@@ -78,6 +99,11 @@ const WriterMetrics& writer_metrics() {
 }
 
 }  // namespace
+
+void count_protocol_error(const char* who) {
+  protocol_metrics().errors->inc();
+  VLOG_WARN(who, "dropping peer: oversized frame length");
+}
 
 void FrameWriter::enqueue(std::vector<std::byte> frame) {
   queued_bytes_ += frame.size();

@@ -3,8 +3,10 @@
 // Wire format: a 4-byte little-endian payload length followed by the
 // payload. The FrameReader is an incremental decoder: feed it whatever
 // recv() returned and pop complete frames — partial frames simply wait for
-// more bytes, and oversized lengths are rejected so a corrupt peer cannot
-// make us allocate unbounded memory.
+// more bytes, and an oversized length puts the reader into a failed state
+// (never an exception) so a corrupt peer cannot make us allocate unbounded
+// memory or unwind through an event-loop handler: the node drops that one
+// peer and counts it.
 #pragma once
 
 #include <cstddef>
@@ -21,14 +23,23 @@ constexpr std::size_t kMaxFrameBytes = 1 << 20;  // 1 MiB protocol limit
 /// Prepends the length header to a payload.
 std::vector<std::byte> frame_payload(std::span<const std::byte> payload);
 
+/// Counts one peer dropped for a framing violation
+/// (volley_net_protocol_errors_total) and logs it under `who`.
+void count_protocol_error(const char* who);
+
 class FrameReader {
  public:
-  /// Appends raw stream bytes. Throws std::runtime_error on a frame whose
-  /// declared length exceeds kMaxFrameBytes (protocol violation).
+  /// Appends raw stream bytes (discarded once the reader has failed).
   void feed(std::span<const std::byte> data);
 
-  /// Pops the next complete frame's payload, if any.
+  /// Pops the next complete frame's payload, if any. A declared length
+  /// above kMaxFrameBytes is a protocol violation: the reader fails, drops
+  /// its buffer, and returns nullopt from then on.
   std::optional<std::vector<std::byte>> next();
+
+  /// True once a protocol violation was seen; the stream cannot resync, so
+  /// the owner must drop the peer.
+  bool failed() const { return failed_; }
 
   std::size_t buffered_bytes() const { return buffer_.size() - offset_; }
 
@@ -41,9 +52,10 @@ class FrameReader {
 
   std::vector<std::byte> buffer_;
   std::size_t offset_{0};  // bytes of buffer_ already consumed
+  bool failed_{false};
 };
 
-/// Batched frame egress for the reactor path: queued frames coalesce into a
+/// Batched frame egress for reactor handlers: queued frames coalesce into a
 /// single vectored write (`sendmsg` scatter-gather, MSG_NOSIGNAL) per flush,
 /// and a partially-written front frame resumes at its offset on the next
 /// flush — the socket stays non-blocking and EAGAIN surfaces as kBlocked so

@@ -1,12 +1,11 @@
 // Process-wide syscall estimate for the net runtime.
 //
-// Every wrapper that issues a kernel I/O call (recv/send/writev/accept,
-// epoll_wait/epoll_ctl, io_uring_enter) bumps one relaxed atomic. The count
-// is an *estimate* of the wire runtime's syscall rate — raw ::send/::recv
-// issued outside the wrappers (e.g. bench worker threads) are invisible on
-// purpose, so bench_net_scale can diff the counter across a load window and
-// report coordinator-side syscalls per frame (the number the io_uring
-// backend exists to shrink).
+// Every wrapper that issues a kernel I/O call (recv/send/sendmsg/accept,
+// epoll_wait/epoll_ctl) bumps one relaxed atomic. The count is an
+// *estimate* of the wire runtime's syscall rate — raw ::send/::recv issued
+// outside the wrappers (e.g. a benchmark's own client sockets) are
+// invisible on purpose, so a harness can diff the counter across a load
+// window and report node-side syscalls per poll or per frame.
 #pragma once
 
 #include <atomic>

@@ -1,39 +1,19 @@
 // Event-loop reactor + timer heap for the Volley net runtime.
 //
-// One Reactor instance is one event loop: file descriptors register a
-// handler once (persistent registration — no per-tick fd-vector rebuild
-// like the legacy poll(2) loops) and are dispatched on readiness;
-// millisecond timers live in the simulator's EventQueue (sim/event_queue.h,
-// a 4-ary heap with O(1) generation-checked cancel and compaction), its
-// time axis being steady-clock ms. A quiet loop therefore sleeps until the
-// next due timer or the next byte of I/O — zero wakeups in between —
-// instead of polling on a fixed tick, and finding that next deadline never
-// rescans cancelled timers.
-//
-// Backends (DESIGN.md §14): the readiness engine is pluggable behind this
-// interface.
-//  * kEpoll — level-triggered epoll, the identity baseline. One epoll_ctl
-//    syscall per interest change, one epoll_wait per turn.
-//  * kUring — io_uring (raw syscalls, no liburing): every interest change
-//    (add/remove/want-write flips) becomes a batched POLL_ADD / POLL_REMOVE
-//    submission and the whole batch rides the single io_uring_enter that
-//    also waits for completions — a loop turn costs one syscall no matter
-//    how many fds were (re)armed. Poll adds are one-shot and re-armed after
-//    dispatch; a fresh arm re-checks current readiness (vfs_poll), so the
-//    semantics stay exactly level-triggered epoll's. Selected by
-//    `VOLLEY_URING` (set and not "0") when the kernel supports it; the
-//    fallback to epoll is silent and visible via backend().
+// One Reactor instance is one event loop, and every net node runs exactly
+// one: file descriptors register a handler once (persistent registration,
+// no per-turn fd-vector rebuild) and are dispatched on level-triggered
+// epoll readiness; millisecond timers live in the simulator's EventQueue
+// (sim/event_queue.h, a 4-ary heap with O(1) generation-checked cancel and
+// compaction), its time axis being steady-clock ms. A quiet loop therefore
+// sleeps until the next due timer or the next byte of I/O — zero wakeups
+// in between — instead of polling on a fixed tick, and finding that next
+// deadline never rescans cancelled timers.
 //
 // Threading: everything except wakeup() is confined to the loop thread
 // (the thread calling run_once). wakeup() is safe from any thread: it
-// writes an eventfd registered with the readiness engine, so another
-// thread can nudge a sleeping loop (request_stop and ReactorPool::post do
-// this).
-//
-// `VOLLEY_POLL_LOOP` (set and not "0") is the escape hatch that keeps the
-// legacy poll(2) loops as the behavioral baseline, same discipline as
-// VOLLEY_SCAN_TICKS / VOLLEY_SCALAR_BETA; nodes read it through
-// poll_loop_from_env() at construction and accept a per-node override.
+// writes an eventfd registered with epoll, so another thread can nudge a
+// sleeping loop (the nodes' request_stop does this).
 #pragma once
 
 #include <chrono>
@@ -42,45 +22,14 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <vector>
 
 #include "sim/event_queue.h"
 
 namespace volley::net {
 
-/// True when VOLLEY_POLL_LOOP is set (and not "0"): run the legacy
-/// poll(2) loops instead of the epoll reactor.
-bool poll_loop_from_env();
-
-/// Resolves a per-node tri-state override against the environment:
-/// negative = follow VOLLEY_POLL_LOOP, 0 = reactor, positive = legacy.
-inline bool resolve_poll_loop(int override_flag) {
-  if (override_flag < 0) return poll_loop_from_env();
-  return override_flag > 0;
-}
-
-/// Readiness engine behind the Reactor interface.
-enum class ReactorBackend { kEpoll, kUring };
-
-/// True when VOLLEY_URING is set (and not "0"): prefer the io_uring
-/// backend where the build and the kernel support it.
-bool uring_from_env();
-
-/// Compile-time (<linux/io_uring.h> present) + runtime (io_uring_setup
-/// probe) support check; cached after the first call.
-bool uring_supported();
-
-/// Per-node tri-state, same discipline as resolve_poll_loop: negative =
-/// follow VOLLEY_URING, 0 = epoll, positive = io_uring (benches force both
-/// backends in one process regardless of the environment).
-ReactorBackend resolve_backend(int override_flag);
-
-const char* backend_name(ReactorBackend backend);
-
 class Reactor {
  public:
-  /// Raw epoll-style event mask; use readable()/writable()/hangup() to
-  /// decode (identical bit values on both backends).
+  /// Raw epoll event mask; use readable()/writable()/hangup() to decode.
   using IoHandler = std::function<void(std::uint32_t events)>;
   /// Allocation-free for captures up to 48 bytes.
   using TimerCallback = EventQueue::Callback;
@@ -92,16 +41,10 @@ class Reactor {
   /// returns 0/err) so handlers observe EOF through their normal path.
   static bool hangup(std::uint32_t events);
 
-  /// Backend from the environment (VOLLEY_URING), epoll otherwise.
   Reactor();
-  /// Forced backend; silently falls back to epoll when io_uring is
-  /// unavailable (check backend() for what actually runs).
-  explicit Reactor(ReactorBackend requested);
   ~Reactor();
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
-
-  ReactorBackend backend() const { return backend_; }
 
   // --- fd registration ----------------------------------------------------
 
@@ -155,10 +98,9 @@ class Reactor {
   /// (0 on a pure timeout or wakeup()).
   int run_once(int max_wait_ms = -1);
 
-  /// run_once with a sub-millisecond wait bound (epoll_pwait2 / io_uring
-  /// EXT_ARG timespec where the kernel offers it, nonblocking-poll +
-  /// nanosleep otherwise) — the monitor's compressed tick cadence is 100s
-  /// of microseconds.
+  /// run_once with a sub-millisecond wait bound (epoll_pwait2 where the
+  /// kernel offers it, millisecond epoll_wait otherwise) — the monitor's
+  /// compressed tick cadence is 100s of microseconds.
   int run_once_for(std::chrono::nanoseconds max_wait);
 
   /// Nudges a sleeping loop from any thread (eventfd write).
@@ -171,60 +113,21 @@ class Reactor {
     std::int64_t wakeups{0};       // wait returns (loop turns)
     std::int64_t io_events{0};     // fd events dispatched
     std::int64_t timers_fired{0};  // timer callbacks run
-    std::int64_t syscalls{0};      // waits + interest-change kernel entries
   };
   const Stats& stats() const { return stats_; }
 
-  /// Registers this loop's Stats as labeled gauges in the current obs
-  /// metrics registry (volley_reactor_loop<i>_{wakeups,io_events,
-  /// timers_fired,syscalls}) and refreshes them once per turn, so
-  /// volley_stats shows each loop of a ReactorPool separately. Call from
-  /// the thread whose registry should own the gauges, before the loop runs.
-  void enable_loop_stats(std::size_t loop_index);
-
  private:
-  /// Per-fd registration: `mask` is the epoll-style interest set. `gen`
-  /// and `armed` are io_uring bookkeeping — gen stamps every POLL_ADD's
-  /// user_data so completions for a superseded registration (remove/re-add,
-  /// want-write flips) are recognizably stale, and `armed` tracks whether a
-  /// one-shot poll is currently in flight.
-  struct FdEntry {
-    std::shared_ptr<IoHandler> handler;
-    std::uint32_t mask{0};
-    std::uint32_t gen{0};
-    bool armed{false};
-  };
-
-  int dispatch_events(int n);
   int wait_and_dispatch(std::int64_t wait_ns);
-  int epoll_wait_collect(std::int64_t wait_ns);
-  void refresh_loop_stats();
 
-  // io_uring backend (reactor.cpp; nullptr on the epoll backend).
-  struct Uring;
-  void uring_arm(int fd, FdEntry& entry);
-  void uring_cancel(int fd, std::uint32_t gen);
-  int uring_wait_collect(std::int64_t wait_ns);
-
-  ReactorBackend backend_{ReactorBackend::kEpoll};
   int epoll_fd_{-1};
   int wake_fd_{-1};
-  std::unordered_map<int, FdEntry> handlers_;
-  std::unique_ptr<Uring> uring_;
-
-  /// Readiness batch collected by the backend, dispatched backend-agnostically.
-  struct ReadyEvent {
-    int fd{0};
-    std::uint32_t events{0};
-  };
-  std::vector<ReadyEvent> ready_;
+  /// Shared so a dispatch in progress keeps the handler object it pinned
+  /// even when the handler replaces or removes its own registration.
+  std::unordered_map<int, std::shared_ptr<IoHandler>> handlers_;
 
   EventQueue timers_;  // time axis: steady-clock ms (exact in a double)
 
   Stats stats_;
-
-  struct LoopStatsGauges;
-  std::unique_ptr<LoopStatsGauges> loop_stats_;
 };
 
 }  // namespace volley::net

@@ -723,6 +723,18 @@ SoakReport run_scenario_net(const Scenario& input,
   copt.global_threshold = boot.global_threshold;
   copt.error_allowance = boot.error_allowance;
   copt.adaptive_allocation = true;
+  // Alerts are scored per tick, so collect them as they are raised: the
+  // node itself keeps only a bounded window. Written on the coordinator's
+  // thread, read after it is joined.
+  const auto tick_count = static_cast<std::size_t>(scenario.ticks);
+  std::vector<char> detected(tick_count, 0);    // boot-task alerts
+  std::vector<std::int64_t> alerts_at(tick_count, 0);  // every task
+  copt.on_alert = [&detected, &alerts_at](TaskId task, Tick tick, double) {
+    if (tick < 0 || static_cast<std::size_t>(tick) >= alerts_at.size())
+      return;
+    ++alerts_at[static_cast<std::size_t>(tick)];
+    if (task == 0) detected[static_cast<std::size_t>(tick)] = 1;
+  };
   net::CoordinatorNode coordinator(copt);
 
   net::ChaosProxyOptions popt;
@@ -797,19 +809,15 @@ SoakReport run_scenario_net(const Scenario& input,
   // phase against the composed aggregate.
   const GroundTruth truth =
       GroundTruth::from_series(aggregate, boot.global_threshold);
-  std::vector<char> detected(static_cast<std::size_t>(scenario.ticks), 0);
-  for (const auto& alert : coordinator.alerts()) {
-    if (alert.task == 0 && alert.tick >= 0 && alert.tick < scenario.ticks)
-      detected[static_cast<std::size_t>(alert.tick)] = 1;
-  }
 
   for (const auto& phase : phases) {
     PhaseReport out;
     out.phase = phase.name;
     out.start = phase.start;
     out.end = phase.end;
-    for (const auto& alert : coordinator.alerts()) {
-      if (alert.tick >= phase.start && alert.tick < phase.end) ++out.alerts;
+    for (Tick t = std::max<Tick>(phase.start, 0);
+         t < std::min<Tick>(phase.end, scenario.ticks); ++t) {
+      out.alerts += alerts_at[static_cast<std::size_t>(t)];
     }
 
     const double tolerance = phase_tolerance(scenario, phase, true);

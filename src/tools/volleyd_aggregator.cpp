@@ -90,11 +90,11 @@ int main(int argc, char** argv) {
 
     const auto& down = node.downstream();
     std::printf("shard %u finished: %lld subset polls, %lld reallocations, "
-                "%zu subset alerts, %lld escalations, %lld summaries%s\n",
+                "%lld subset alerts, %lld escalations, %lld summaries%s\n",
                 options.shard_id,
                 static_cast<long long>(down.global_polls()),
                 static_cast<long long>(down.reallocations()),
-                down.alerts().size(),
+                static_cast<long long>(down.alert_count()),
                 static_cast<long long>(node.escalations()),
                 static_cast<long long>(node.summaries_sent()),
                 node.coordinator_lost() ? " (root lost; ran standalone)"

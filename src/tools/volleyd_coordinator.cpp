@@ -6,7 +6,7 @@
 //
 // Listens for `monitors` MonitorNode connections, runs the session
 // (global polls on local violations, error-allowance reallocation), prints
-// alerts as they arrive after the run, and exits when all monitors say Bye.
+// each alert as it is raised, and exits when all monitors say Bye.
 // port=0 picks a free port and prints it, so scripts can wire monitors up.
 //
 // threshold/err describe the *boot task* (task 0); further tasks are added
@@ -62,6 +62,10 @@ int main(int argc, char** argv) {
     // threshold/allowance slices are weighted by each ShardHello's w.
     options.total_weight =
         static_cast<std::size_t>(config.get_int("total_weight", 0));
+    options.on_alert = [](TaskId task, Tick tick, double value) {
+      std::printf("  ALERT task=%u tick=%lld aggregate=%.3f\n", task,
+                  static_cast<long long>(tick), value);
+    };
 
     net::CoordinatorNode node(options);
     std::printf("volleyd_coordinator: listening on 127.0.0.1:%u for %zu "
@@ -82,14 +86,10 @@ int main(int argc, char** argv) {
     node.run();
 
     std::printf("session finished: %lld global polls, %lld reallocations, "
-                "%zu alerts\n",
+                "%lld alerts\n",
                 static_cast<long long>(node.global_polls()),
                 static_cast<long long>(node.reallocations()),
-                node.alerts().size());
-    for (const auto& alert : node.alerts()) {
-      std::printf("  ALERT task=%u tick=%lld aggregate=%.3f\n", alert.task,
-                  static_cast<long long>(alert.tick), alert.value);
-    }
+                static_cast<long long>(node.alert_count()));
     for (const auto& [id, ops] : node.reported_ops()) {
       std::printf("  monitor %u: %lld sampling ops\n", id,
                   static_cast<long long>(ops));

@@ -121,20 +121,23 @@ TEST(FuzzFraming, RandomChunkingPreservesFrames) {
 TEST(FuzzFraming, GarbageStreamEitherYieldsFramesOrThrowsOnce) {
   // Arbitrary bytes interpreted as frames must never read out of bounds:
   // the reader either produces (garbage) frames, waits for more input, or
-  // throws on an oversized length — never undefined behaviour. (Under ASan
-  // this test is the real check; here we assert it ends with sane state.)
+  // fails once on an oversized length (it no longer throws: a failed reader
+  // drops its buffer and yields nothing more) — never undefined behaviour.
+  // (Under ASan this test is the real check; here we assert it ends with
+  // sane state.)
   Rng rng(7004);
   for (int trial = 0; trial < 500; ++trial) {
     FrameReader reader;
     const auto junk = random_bytes(rng, 512);
     reader.feed(junk);
-    try {
-      while (reader.next()) {
-      }
-    } catch (const std::runtime_error&) {
-      // oversized declared length — acceptable defensive rejection
+    while (reader.next()) {
     }
     EXPECT_LE(reader.buffered_bytes(), junk.size());
+    if (reader.failed()) {
+      EXPECT_EQ(reader.buffered_bytes(), 0u);
+      reader.feed(junk);
+      EXPECT_FALSE(reader.next().has_value());
+    }
   }
 }
 

@@ -12,7 +12,8 @@
 #include <sys/time.h>
 
 #include <csignal>
-#include <set>
+#include <cstdio>
+#include <string>
 
 #include <chrono>
 #include <cstring>
@@ -25,6 +26,7 @@
 #include "net/messages.h"
 #include "net/monitor_node.h"
 #include "net/socket.h"
+#include "obs/metrics.h"
 
 namespace volley {
 namespace {
@@ -99,7 +101,14 @@ TEST(Framing, RejectsOversizedFrame) {
   std::memcpy(evil.data(), &huge, 4);
   FrameReader reader;
   reader.feed(evil);
-  EXPECT_THROW(reader.next(), std::runtime_error);
+  EXPECT_FALSE(reader.next().has_value());
+  EXPECT_TRUE(reader.failed());
+  EXPECT_EQ(reader.buffered_bytes(), 0u);
+  // A failed stream cannot resync: later bytes, even a valid frame, are
+  // discarded.
+  reader.feed(frame_payload(std::vector<std::byte>(3)));
+  EXPECT_FALSE(reader.next().has_value());
+  EXPECT_EQ(reader.buffered_bytes(), 0u);
 }
 
 TEST(Framing, EmptyPayloadIsLegal) {
@@ -765,8 +774,8 @@ TEST(NetIntegration, CoordinatorAndMonitorsDetectViolation) {
   coord_thread.join();
 
   EXPECT_GT(coordinator.global_polls(), 0);
-  ASSERT_FALSE(coordinator.alerts().empty());
-  for (const auto& alert : coordinator.alerts()) {
+  ASSERT_FALSE(coordinator.recent_alerts().empty());
+  for (const auto& alert : coordinator.recent_alerts()) {
     EXPECT_GT(alert.value, 10.0);
   }
   // Every monitor reported its op totals on Bye.
@@ -776,112 +785,6 @@ TEST(NetIntegration, CoordinatorAndMonitorsDetectViolation) {
     EXPECT_GT(ops, 0);
     EXPECT_LT(ops, kTicks);
   }
-}
-
-// The VOLLEY_POLL_LOOP escape hatch: the pre-reactor poll(2) loops must
-// still carry a full session end to end (all three roles forced legacy via
-// the options override, independent of the environment).
-TEST(NetIntegration, LegacyPollLoopPathStillCompletesSession) {
-  constexpr Tick kTicks = 300;
-  net::CoordinatorNodeOptions copt;
-  copt.monitors = 1;
-  copt.global_threshold = 10.0;
-  copt.error_allowance = 0.02;
-  copt.poll_loop = 1;  // force the legacy loop
-  net::CoordinatorNode coordinator(copt);
-
-  net::ChaosProxyOptions popt;
-  popt.upstream_port = coordinator.port();
-  popt.poll_loop = 1;
-  net::ChaosProxy proxy(popt);
-
-  CallableSource spiky(
-      [](Tick t) { return (t >= 100 && t < 160) ? 20.0 : 0.5; }, kTicks);
-  net::MonitorNodeOptions mopt;
-  mopt.id = 0;
-  mopt.coordinator_port = proxy.port();
-  mopt.local_threshold = 10.0;
-  mopt.ticks = kTicks;
-  mopt.updating_period = 100;
-  mopt.tick_micros = 300;
-  mopt.poll_loop = 1;
-  net::MonitorNode monitor(mopt, spiky);
-
-  std::thread ct([&coordinator] { coordinator.run(); });
-  std::thread pt([&proxy] { proxy.run(); });
-  std::thread mt([&monitor] { monitor.run(); });
-  mt.join();
-  ct.join();
-  proxy.request_stop();
-  pt.join();
-
-  EXPECT_GT(coordinator.global_polls(), 0);
-  EXPECT_FALSE(coordinator.alerts().empty());
-  EXPECT_EQ(coordinator.reported_ops().size(), 1u);
-  EXPECT_GT(proxy.stats().forwarded_frames, 0);
-  // The legacy loops turn on a cadence whether or not traffic flows.
-  EXPECT_GT(proxy.loop_wakeups(), 0);
-  EXPECT_GT(coordinator.loop_wakeups(), 0);
-}
-
-// Multi-loop coordinator: with VOLLEY_NET_THREADS-style sharding forced to
-// three loops, a full three-monitor session must complete exactly as on one
-// loop, every session must be pinned to a worker loop (never the home loop,
-// which keeps protocol state), and the round-robin must spread sessions
-// across both workers.
-TEST(NetIntegration, MultiLoopFleetPinsSessionsToWorkerLoops) {
-  constexpr Tick kTicks = 400;
-  net::CoordinatorNodeOptions copt;
-  copt.monitors = 3;
-  copt.global_threshold = 10.0;
-  copt.error_allowance = 0.03;
-  copt.poll_loop = 0;    // loop sharding needs the reactor runtime, so the
-                         // test must hold even under VOLLEY_POLL_LOOP=1 CI
-  copt.net_threads = 3;  // home loop + two worker loops
-  net::CoordinatorNode coordinator(copt);
-  ASSERT_EQ(coordinator.net_threads(), 3u);
-
-  std::vector<std::unique_ptr<CallableSource>> sources;
-  sources.push_back(std::make_unique<CallableSource>(
-      [](Tick t) { return (t >= 200 && t < 260) ? 20.0 : 0.5; }, kTicks));
-  sources.push_back(std::make_unique<CallableSource>(
-      [](Tick) { return 0.5; }, kTicks));
-  sources.push_back(std::make_unique<CallableSource>(
-      [](Tick) { return 0.5; }, kTicks));
-
-  std::vector<std::unique_ptr<net::MonitorNode>> nodes;
-  for (MonitorId id = 0; id < 3; ++id) {
-    net::MonitorNodeOptions mopt;
-    mopt.id = id;
-    mopt.coordinator_port = coordinator.port();
-    mopt.local_threshold = 10.0 / 3.0;
-    mopt.ticks = kTicks;
-    mopt.updating_period = 100;
-    mopt.tick_micros = 300;
-    nodes.push_back(std::make_unique<net::MonitorNode>(mopt, *sources[id]));
-  }
-
-  std::thread coord_thread([&coordinator] { coordinator.run(); });
-  std::vector<std::thread> monitor_threads;
-  for (auto& node : nodes) {
-    monitor_threads.emplace_back([&node] { node->run(); });
-  }
-  for (auto& t : monitor_threads) t.join();
-  coord_thread.join();
-
-  EXPECT_GT(coordinator.global_polls(), 0);
-  EXPECT_FALSE(coordinator.alerts().empty());
-  EXPECT_EQ(coordinator.reported_ops().size(), 3u);
-
-  const auto& loops = coordinator.session_loops();
-  ASSERT_EQ(loops.size(), 3u);
-  std::set<std::size_t> used;
-  for (const auto& [id, loop] : loops) {
-    EXPECT_GE(loop, 1u) << "monitor " << id << " landed on the home loop";
-    EXPECT_LT(loop, 3u);
-    used.insert(loop);
-  }
-  EXPECT_EQ(used.size(), 2u) << "round-robin left a worker loop empty";
 }
 
 // The allowance reallocation path: monitors with different volatility run a
@@ -1017,8 +920,9 @@ class FakeMonitor {
 
   void close() { conn_.close(); }
 
-  /// Reads until a message of type T arrives (skipping any other type);
-  /// fails the test and returns T{} on timeout or peer close.
+  /// Reads until a message of type T arrives (skipping any other type, but
+  /// recording every message in received()); fails the test and returns
+  /// T{} on timeout or peer close.
   template <typename T>
   T await(int timeout_ms = 2500) {
     const auto deadline = std::chrono::steady_clock::now() +
@@ -1027,6 +931,7 @@ class FakeMonitor {
     for (;;) {
       while (auto payload = reader_.next()) {
         const auto message = net::decode(as_bytes(*payload));
+        if (message) received_.push_back(*message);
         if (message && std::holds_alternative<T>(*message)) {
           return std::get<T>(*message);
         }
@@ -1053,11 +958,106 @@ class FakeMonitor {
     return T{};
   }
 
+  /// Every message decoded so far, in arrival order.
+  const std::vector<Message>& received() const { return received_; }
+
  private:
   TcpConnection conn_;
   FrameReader reader_;
   MonitorId id_;
+  std::vector<Message> received_;
 };
+
+/// One line per coordinator -> monitor message (type, task, key fields);
+/// nullopt for heartbeat acks, whose count depends on timing.
+std::optional<std::string> describe(const Message& message) {
+  char line[160];
+  if (std::holds_alternative<HeartbeatAck>(message)) return std::nullopt;
+  if (const auto* m = std::get_if<net::TaskAttach>(&message)) {
+    std::snprintf(line, sizeof line,
+                  "TaskAttach task=%u epoch=%llu T=%g err=%g period=%lld",
+                  m->task, static_cast<unsigned long long>(m->epoch),
+                  m->local_threshold, m->error_allowance,
+                  static_cast<long long>(m->updating_period));
+  } else if (const auto* m = std::get_if<PollRequest>(&message)) {
+    std::snprintf(line, sizeof line, "PollRequest task=%u poll=%llu tick=%lld",
+                  m->task, static_cast<unsigned long long>(m->poll_id),
+                  static_cast<long long>(m->tick));
+  } else if (const auto* m = std::get_if<AllowanceUpdate>(&message)) {
+    std::snprintf(line, sizeof line, "AllowanceUpdate task=%u err=%g",
+                  m->task, m->error_allowance);
+  } else if (std::holds_alternative<Shutdown>(message)) {
+    std::snprintf(line, sizeof line, "Shutdown");
+  } else {
+    std::snprintf(line, sizeof line, "unexpected message type %zu",
+                  message.index());
+  }
+  return std::string(line);
+}
+
+std::vector<std::string> transcript(const FakeMonitor& monitor) {
+  std::vector<std::string> lines;
+  for (const Message& message : monitor.received()) {
+    if (auto line = describe(message)) lines.push_back(std::move(*line));
+  }
+  return lines;
+}
+
+// Golden wire transcript: the exact frames the coordinator sends each
+// monitor through a whole scripted session — join, one violation-driven
+// poll that raises an alert, goodbye. Any change to what the coordinator
+// puts on the wire, or in which order, shows up here as a diff against
+// the literal list.
+TEST(NetGolden, TwoMonitorSessionTranscript) {
+  net::CoordinatorNodeOptions copt;
+  copt.monitors = 2;
+  copt.global_threshold = 10.0;
+  copt.error_allowance = 0.02;
+  copt.poll_timeout_ms = 3000;
+  copt.heartbeat_timeout_ms = 5000;
+  copt.staleness_bound_ms = 5000;
+  copt.idle_timeout_ms = 10000;
+  net::CoordinatorNode coordinator(copt);
+  std::thread coord_thread([&coordinator] { coordinator.run(); });
+
+  FakeMonitor f0(coordinator.port(), 0);
+  FakeMonitor f1(coordinator.port(), 1);
+  f0.await<net::TaskAttach>();
+  f1.await<net::TaskAttach>();
+  f0.send(Heartbeat{0, 1});
+  f1.send(Heartbeat{1, 1});
+
+  f0.send(LocalViolation{0, 7, 8.0});
+  const auto p0 = f0.await<PollRequest>();
+  const auto p1 = f1.await<PollRequest>();
+  f0.send(PollResponse{0, p0.poll_id, 7, 8.0});
+  f1.send(PollResponse{1, p1.poll_id, 7, 4.0});
+
+  f0.send(Bye{0, 30, 1});
+  f1.send(Bye{1, 40, 2});
+  f0.await<Shutdown>();
+  f1.await<Shutdown>();
+  coord_thread.join();
+
+  const std::vector<std::string> expected = {
+      "TaskAttach task=0 epoch=1 T=5 err=0.01 period=1000",
+      "PollRequest task=0 poll=1 tick=7",
+      "Shutdown",
+  };
+  EXPECT_EQ(transcript(f0), expected);
+  EXPECT_EQ(transcript(f1), expected);
+
+  EXPECT_EQ(coordinator.global_polls(), 1);
+  ASSERT_EQ(coordinator.alert_count(), 1);
+  const auto alerts = coordinator.recent_alerts();
+  ASSERT_EQ(alerts.size(), 1u);
+  EXPECT_EQ(alerts[0].task, kBootTaskId);
+  EXPECT_EQ(alerts[0].tick, 7);
+  EXPECT_DOUBLE_EQ(alerts[0].value, 12.0);
+  EXPECT_EQ(coordinator.fault_stats().heartbeats, 2);
+  EXPECT_EQ(coordinator.reported_ops().at(0), 31);
+  EXPECT_EQ(coordinator.reported_ops().at(1), 42);
+}
 
 // Scenario: a monitor dies mid-poll. The in-flight poll must complete with
 // the dead monitor's last known value (the simulator's poll_response_loss
@@ -1119,12 +1119,12 @@ TEST(NetFaults, MonitorDeathStalePollThenAllowanceReclaim) {
   coord_thread.join();
 
   EXPECT_EQ(coordinator.global_polls(), 3);
-  ASSERT_EQ(coordinator.alerts().size(), 3u);
-  EXPECT_NEAR(coordinator.alerts()[0].value, 22.0, 1e-9);
+  ASSERT_EQ(coordinator.recent_alerts().size(), 3u);
+  EXPECT_NEAR(coordinator.recent_alerts()[0].value, 22.0, 1e-9);
   // Poll 2 settled with monitor 0's last known value: 1 + 1 + stale 20.
-  EXPECT_NEAR(coordinator.alerts()[1].value, 22.0, 1e-9);
+  EXPECT_NEAR(coordinator.recent_alerts()[1].value, 22.0, 1e-9);
   // Poll 3 excluded the dead monitor entirely: 8 + 5.
-  EXPECT_NEAR(coordinator.alerts()[2].value, 13.0, 1e-9);
+  EXPECT_NEAR(coordinator.recent_alerts()[2].value, 13.0, 1e-9);
 
   const auto& faults = coordinator.fault_stats();
   EXPECT_EQ(faults.stale_polls, 1);
@@ -1220,8 +1220,8 @@ TEST(NetFaults, PollTimeoutSettlesWithPartialResponses) {
   coord_thread.join();
 
   EXPECT_EQ(coordinator.global_polls(), 1);
-  ASSERT_EQ(coordinator.alerts().size(), 1u);
-  EXPECT_NEAR(coordinator.alerts()[0].value, 5.0, 1e-9);
+  ASSERT_EQ(coordinator.recent_alerts().size(), 1u);
+  EXPECT_NEAR(coordinator.recent_alerts()[0].value, 5.0, 1e-9);
   // The non-responder had no last known value, so nothing was stale.
   EXPECT_EQ(coordinator.fault_stats().stale_polls, 0);
 }
@@ -1294,59 +1294,6 @@ TEST(NetFaults, ChaosProxyCutForcesReconnect) {
   EXPECT_EQ(coordinator.reported_ops().size(), 1u);
 }
 
-// No-migration invariant: with three loops and a single monitor, the first
-// connection round-robins onto worker loop 1. A chaos-proxy cut then forces
-// a reconnect — if session placement were re-drawn per connection the second
-// accept would land on loop 2, so the final map pins the sticky assignment.
-TEST(NetFaults, MultiLoopReconnectKeepsSessionOnItsLoop) {
-  net::CoordinatorNodeOptions copt;
-  copt.monitors = 1;
-  copt.global_threshold = 100.0;
-  copt.error_allowance = 0.02;
-  copt.heartbeat_timeout_ms = 1500;
-  copt.staleness_bound_ms = 6000;
-  copt.poll_loop = 0;  // sharding is reactor-only: pin past VOLLEY_POLL_LOOP
-  copt.net_threads = 3;
-  net::CoordinatorNode coordinator(copt);
-
-  net::ChaosProxyOptions popt;
-  popt.upstream_port = coordinator.port();
-  popt.plan.disconnect_after_frames = 40;
-  popt.plan.max_disconnects = 1;
-  net::ChaosProxy proxy(popt);
-
-  constexpr Tick kTicks = 2000;
-  CallableSource quiet([](Tick) { return 0.5; }, kTicks);
-  net::MonitorNodeOptions mopt;
-  mopt.id = 0;
-  mopt.coordinator_port = proxy.port();
-  mopt.local_threshold = 50.0;
-  mopt.ticks = kTicks;
-  mopt.updating_period = 500;
-  mopt.tick_micros = 400;
-  mopt.heartbeat_interval_ms = 10;
-  mopt.coordinator_timeout_ms = 500;
-  mopt.connect_timeout_ms = 300;
-  mopt.reconnect_backoff_ms = 20;
-  mopt.reconnect_backoff_max_ms = 100;
-  net::MonitorNode monitor(mopt, quiet);
-
-  std::thread coord_thread([&coordinator] { coordinator.run(); });
-  std::thread proxy_thread([&proxy] { proxy.run(); });
-  std::thread monitor_thread([&monitor] { monitor.run(); });
-  monitor_thread.join();
-  coord_thread.join();
-  proxy.request_stop();
-  proxy_thread.join();
-
-  EXPECT_GE(monitor.reconnects(), 1);
-  EXPECT_GE(coordinator.fault_stats().reconnects, 1);
-  EXPECT_EQ(coordinator.reported_ops().size(), 1u);
-  const auto& loops = coordinator.session_loops();
-  ASSERT_EQ(loops.size(), 1u);
-  EXPECT_EQ(loops.at(0), 1u);  // still on its first-draw loop post-reconnect
-}
-
 // Chaos proxy, message faults: seeded frame drops, delays, and partial
 // writes on every link. A sustained violation must still be detected (the
 // stale-value fallback and repeated reports absorb the losses), and the
@@ -1407,7 +1354,7 @@ TEST(NetFaults, ChaosProxyLossyLinkStillDetects) {
   proxy_thread.join();
 
   EXPECT_GT(coordinator.global_polls(), 0);
-  EXPECT_FALSE(coordinator.alerts().empty());
+  EXPECT_FALSE(coordinator.recent_alerts().empty());
   EXPECT_EQ(coordinator.reported_ops().size(), 2u);
   const auto& stats = proxy.stats();
   EXPECT_GT(stats.forwarded_frames, 0);
@@ -1417,14 +1364,13 @@ TEST(NetFaults, ChaosProxyLossyLinkStillDetects) {
   EXPECT_GT(stats.delayed_frames + stats.partial_writes, 0);
 }
 
-// Idle-CPU regression for the reactor path: a proxy with a live but silent
-// link must perform ZERO event-loop turns across a quiet window (the legacy
-// loop turned every 5 ms — ~60 turns in the same window).
+// Idle-CPU regression: a proxy with a live but silent link must perform
+// ZERO event-loop turns across a quiet window (a fixed 5 ms poll tick would
+// turn ~60 times in the same window).
 TEST(NetFaults, IdleChaosProxyPerformsNoWakeups) {
   TcpListener upstream(0);
   net::ChaosProxyOptions popt;
   popt.upstream_port = upstream.port();
-  popt.poll_loop = 0;  // force the reactor, whatever the environment says
   net::ChaosProxy proxy(popt);
   std::thread proxy_thread([&proxy] { proxy.run(); });
 
@@ -1454,6 +1400,210 @@ TEST(NetFaults, IdleChaosProxyPerformsNoWakeups) {
   proxy.request_stop();
   proxy_thread.join();
   EXPECT_EQ(proxy.stats().forwarded_frames, 1);
+}
+
+// Idle-CPU regression for the coordinator: waiting on a monitor that joined
+// and then fell silent, it sleeps in epoll with only far deadlines armed
+// (liveness sweep, pending-Hello drop, idle guard) — zero loop turns.
+TEST(NetFaults, IdleCoordinatorPerformsNoWakeups) {
+  net::CoordinatorNodeOptions copt;
+  copt.monitors = 1;
+  copt.heartbeat_timeout_ms = 10000;
+  copt.staleness_bound_ms = 10000;
+  net::CoordinatorNode coordinator(copt);
+  std::thread coord_thread([&coordinator] { coordinator.run(); });
+
+  // A bound session, so the test measures an idle *session*, not an
+  // unused listener.
+  FakeMonitor f0(coordinator.port(), 0);
+  f0.await<net::TaskAttach>();
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const auto before = coordinator.loop_wakeups();
+  std::this_thread::sleep_for(std::chrono::milliseconds(1000));
+  const auto after = coordinator.loop_wakeups();
+  EXPECT_EQ(after, before) << "idle coordinator must sleep in epoll";
+
+  coordinator.request_stop();
+  coord_thread.join();
+}
+
+// Uncrashable ingress: a length prefix past kMaxFrameBytes from a client
+// that never said Hello drops that one connection and counts it; the
+// monitor session on the same coordinator keeps completing polls.
+TEST(NetFaults, OversizedFramePrefixDropsOnlyThatPeer) {
+  obs::MetricsRegistry registry;
+  net::CoordinatorNodeOptions copt;
+  copt.monitors = 1;
+  copt.global_threshold = 10.0;
+  copt.error_allowance = 0.02;
+  copt.idle_timeout_ms = 10000;
+  net::CoordinatorNode coordinator(copt);
+  std::thread coord_thread([&coordinator, &registry] {
+    obs::ScopedMetricsRegistry scope(registry);
+    coordinator.run();
+  });
+
+  FakeMonitor f0(coordinator.port(), 0);
+  f0.await<net::TaskAttach>();
+
+  auto raw = TcpConnection::connect("127.0.0.1", coordinator.port(), 2000);
+  const std::vector<std::byte> garbage(4, std::byte{0xff});
+  ASSERT_TRUE(raw.send_all(garbage));
+  // The coordinator hangs up on the raw client.
+  pollfd pfd{raw.fd(), POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 2000), 1);
+  std::array<std::byte, 16> buf;
+  const auto n = raw.recv_some(buf);
+  ASSERT_TRUE(n.has_value());
+  EXPECT_EQ(*n, 0u);
+
+  f0.send(LocalViolation{0, 5, 12.0});
+  const auto poll = f0.await<PollRequest>();
+  f0.send(PollResponse{0, poll.poll_id, 5, 12.0});
+  f0.send(Bye{0, 10, 1});
+  f0.await<Shutdown>();
+  coord_thread.join();
+
+  EXPECT_EQ(coordinator.global_polls(), 1);
+  EXPECT_EQ(coordinator.alert_count(), 1);
+  EXPECT_EQ(registry.counter("volley_net_protocol_errors_total").value(), 1);
+}
+
+// The same violation from a bound monitor mid-session: that monitor is
+// disconnected (suspect, then dead), and the other monitor's poll settles
+// without it.
+TEST(NetFaults, OversizedFrameMidSessionDropsThatMonitor) {
+  obs::MetricsRegistry registry;
+  net::CoordinatorNodeOptions copt;
+  copt.monitors = 2;
+  copt.global_threshold = 10.0;
+  copt.error_allowance = 0.02;
+  copt.heartbeat_timeout_ms = 5000;
+  copt.staleness_bound_ms = 200;
+  copt.idle_timeout_ms = 10000;
+  net::CoordinatorNode coordinator(copt);
+  std::thread coord_thread([&coordinator, &registry] {
+    obs::ScopedMetricsRegistry scope(registry);
+    coordinator.run();
+  });
+
+  FakeMonitor f0(coordinator.port(), 0);
+  auto f1 = TcpConnection::connect("127.0.0.1", coordinator.port(), 2000);
+  auto hello = frame_payload(net::encode(Message{Hello{1, false}}));
+  hello.insert(hello.end(), 4, std::byte{0xff});
+  ASSERT_TRUE(f1.send_all(hello));
+  f0.await<net::TaskAttach>();
+
+  f0.send(LocalViolation{0, 5, 12.0});
+  const auto poll = f0.await<PollRequest>();
+  f0.send(PollResponse{0, poll.poll_id, 5, 12.0});
+  f0.send(Bye{0, 10, 1});
+  f0.await<Shutdown>(3000);
+  coord_thread.join();
+
+  EXPECT_EQ(coordinator.global_polls(), 1);
+  const auto alerts = coordinator.recent_alerts();
+  ASSERT_EQ(alerts.size(), 1u);
+  EXPECT_DOUBLE_EQ(alerts[0].value, 12.0);
+  EXPECT_EQ(coordinator.fault_stats().declared_dead, 1);
+  EXPECT_EQ(registry.counter("volley_net_protocol_errors_total").value(), 1);
+}
+
+// The monitor side: an oversized length prefix from its coordinator drops
+// that link (counted), and the monitor reconnects with Hello{resume}.
+TEST(NetFaults, OversizedFrameFromCoordinatorMakesMonitorReconnect) {
+  obs::MetricsRegistry registry;
+  TcpListener fake_coordinator(0);
+  const auto accept_within = [&fake_coordinator](int timeout_ms) {
+    pollfd pfd{fake_coordinator.fd(), POLLIN, 0};
+    std::optional<TcpConnection> conn;
+    if (::poll(&pfd, 1, timeout_ms) == 1) conn = fake_coordinator.accept();
+    return conn;
+  };
+
+  constexpr Tick kTicks = 1000;
+  CallableSource quiet([](Tick) { return 0.5; }, kTicks);
+  net::MonitorNodeOptions mopt;
+  mopt.id = 0;
+  mopt.coordinator_port = fake_coordinator.port();
+  mopt.local_threshold = 50.0;
+  mopt.ticks = kTicks;
+  mopt.tick_micros = 300;
+  mopt.reconnect_backoff_ms = 10;
+  mopt.reconnect_backoff_max_ms = 50;
+  mopt.shutdown_grace_ms = 100;
+  net::MonitorNode monitor(mopt, quiet);
+  std::thread monitor_thread([&monitor, &registry] {
+    obs::ScopedMetricsRegistry scope(registry);
+    monitor.run();
+  });
+
+  auto first = accept_within(2000);
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(first->send_all(std::vector<std::byte>(4, std::byte{0xff})));
+  auto second = accept_within(2000);
+  ASSERT_TRUE(second.has_value()) << "monitor never reconnected";
+  FrameReader reader;
+  std::array<std::byte, 256> buf;
+  std::optional<Message> hello;
+  while (!hello) {
+    const auto n = second->recv_some(buf);  // blocking socket
+    ASSERT_TRUE(n.has_value());
+    ASSERT_GT(*n, 0u);
+    reader.feed(std::span<const std::byte>(buf.data(), *n));
+    if (auto payload = reader.next()) hello = net::decode(as_bytes(*payload));
+  }
+  const auto* h = std::get_if<Hello>(&*hello);
+  ASSERT_NE(h, nullptr);
+  EXPECT_TRUE(h->resume);
+  monitor_thread.join();
+
+  EXPECT_EQ(monitor.reconnects(), 1);
+  EXPECT_EQ(registry.counter("volley_net_protocol_errors_total").value(), 1);
+}
+
+// The chaos proxy cannot reframe a stream past an oversized prefix, so it
+// cuts that link (counted) and keeps proxying others.
+TEST(NetFaults, OversizedFrameMakesChaosProxyCutOnlyThatLink) {
+  obs::MetricsRegistry registry;
+  TcpListener upstream(0);
+  net::ChaosProxyOptions popt;
+  popt.upstream_port = upstream.port();
+  net::ChaosProxy proxy(popt);
+  std::thread proxy_thread([&proxy, &registry] {
+    obs::ScopedMetricsRegistry scope(registry);
+    proxy.run();
+  });
+
+  auto bad = TcpConnection::connect("127.0.0.1", proxy.port(), 2000);
+  auto bad_upstream = upstream.accept();
+  ASSERT_TRUE(bad_upstream.has_value());
+  ASSERT_TRUE(bad.send_all(std::vector<std::byte>(4, std::byte{0xff})));
+  std::array<std::byte, 256> buf;
+  pollfd pfd{bad_upstream->fd(), POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 2000), 1) << "the cut link stayed open";
+  const auto eof = bad_upstream->recv_some(buf);
+  ASSERT_TRUE(eof.has_value());
+  EXPECT_EQ(*eof, 0u) << "the cut link's upstream side must close";
+
+  auto good = TcpConnection::connect("127.0.0.1", proxy.port(), 2000);
+  auto good_upstream = upstream.accept();
+  ASSERT_TRUE(good_upstream.has_value());
+  const auto framed = frame_payload(net::encode(Message{Hello{2}}));
+  ASSERT_TRUE(good.send_all(framed));
+  std::size_t received = 0;
+  while (received < framed.size()) {
+    const auto n = good_upstream->recv_some(buf);
+    ASSERT_TRUE(n.has_value());
+    ASSERT_GT(*n, 0u);
+    received += *n;
+  }
+
+  proxy.request_stop();
+  proxy_thread.join();
+  EXPECT_EQ(proxy.stats().forwarded_frames, 1);
+  EXPECT_EQ(registry.counter("volley_net_protocol_errors_total").value(), 1);
 }
 
 // --- control plane, end to end -------------------------------------------
@@ -1595,11 +1745,11 @@ TEST_F(NetControlTest, AddTaskReallocatesAlertsAndSurvivesRestart) {
   f2.await<Shutdown>();
   coord_thread.join();
 
-  ASSERT_EQ(coordinator->alerts().size(), 2u);
-  EXPECT_EQ(coordinator->alerts()[0].task, kBootTaskId);
-  EXPECT_NEAR(coordinator->alerts()[0].value, 22.0, 1e-9);
-  EXPECT_EQ(coordinator->alerts()[1].task, 7u);
-  EXPECT_NEAR(coordinator->alerts()[1].value, 45.0, 1e-9);
+  ASSERT_EQ(coordinator->recent_alerts().size(), 2u);
+  EXPECT_EQ(coordinator->recent_alerts()[0].task, kBootTaskId);
+  EXPECT_NEAR(coordinator->recent_alerts()[0].value, 22.0, 1e-9);
+  EXPECT_EQ(coordinator->recent_alerts()[1].task, 7u);
+  EXPECT_NEAR(coordinator->recent_alerts()[1].value, 45.0, 1e-9);
   EXPECT_EQ(coordinator->registry().version(), 2u);
 
   // Kill the coordinator and start a successor on the same registry path:

@@ -1,10 +1,6 @@
-// Unit tests for the reactor (both readiness backends) and its timer heap
-// (net/reactor.h): fd registration and dispatch, EPOLLOUT re-arm, timer
-// ordering / cancellation / far-out deadlines / cancel churn, cross-thread
-// wakeup, the VOLLEY_POLL_LOOP / VOLLEY_URING
-// resolution helpers, the forced-io_uring backend, and the ReactorPool's
-// MPSC task queues (no lost wakeups, FIFO per producer — the TSan job
-// hammers these).
+// Unit tests for the epoll reactor and its timer heap (net/reactor.h): fd
+// registration and dispatch, EPOLLOUT re-arm, timer ordering /
+// cancellation / far-out deadlines / cancel churn, and cross-thread wakeup.
 #include "net/reactor.h"
 
 #include <fcntl.h>
@@ -12,15 +8,9 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
-
-#include "net/reactor_pool.h"
-#include "obs/metrics.h"
 
 namespace volley::net {
 namespace {
@@ -351,248 +341,6 @@ TEST(ReactorTest, StatsCountWakeupsEventsAndTimers) {
   EXPECT_GE(r.stats().wakeups, 1);
   EXPECT_GE(r.stats().io_events, 1);
   EXPECT_GE(r.stats().timers_fired, 1);
-}
-
-TEST(PollLoopEnvTest, ResolvePollLoopHonorsOverride) {
-  EXPECT_FALSE(resolve_poll_loop(0));  // forced reactor
-  EXPECT_TRUE(resolve_poll_loop(1));   // forced legacy
-  // -1 follows the environment; both outcomes are legal here, it must just
-  // agree with poll_loop_from_env().
-  EXPECT_EQ(resolve_poll_loop(-1), poll_loop_from_env());
-}
-
-// --- io_uring backend (DESIGN.md §14) --------------------------------------
-
-TEST(UringBackendTest, ResolveBackendHonorsOverride) {
-  EXPECT_EQ(resolve_backend(0), ReactorBackend::kEpoll);
-  if (uring_supported()) {
-    EXPECT_EQ(resolve_backend(1), ReactorBackend::kUring);
-  } else {
-    EXPECT_EQ(resolve_backend(1), ReactorBackend::kEpoll);  // silent fallback
-  }
-}
-
-TEST(UringBackendTest, ForcedUringDispatchesIoAndTimers) {
-  if (!uring_supported()) GTEST_SKIP() << "kernel lacks io_uring";
-  Reactor r(ReactorBackend::kUring);
-  ASSERT_EQ(r.backend(), ReactorBackend::kUring);
-  Pipe p;
-  int hits = 0;
-  r.add_fd(p.read_end(), [&](std::uint32_t events) {
-    EXPECT_TRUE(Reactor::readable(events));
-    p.drain();
-    ++hits;
-  });
-  p.write_byte();
-  EXPECT_GE(r.run_once(100), 1);
-  EXPECT_EQ(hits, 1);
-  // Level-triggered identity: an un-drained fd fires again on re-arm.
-  bool undrained_hit = false;
-  r.add_fd(p.read_end(), [&](std::uint32_t) { undrained_hit = true; });
-  p.write_byte();
-  r.run_once(100);
-  EXPECT_TRUE(undrained_hit);
-  undrained_hit = false;
-  r.run_once(100);  // still readable: must fire again without new bytes
-  EXPECT_TRUE(undrained_hit);
-  r.remove_fd(p.read_end());
-  bool fired = false;
-  r.add_timer(5, [&] { fired = true; });
-  const auto t0 = std::chrono::steady_clock::now();
-  while (!fired &&
-         std::chrono::steady_clock::now() - t0 < std::chrono::seconds(2)) {
-    r.run_once(50);
-  }
-  EXPECT_TRUE(fired);
-  EXPECT_GE(r.stats().syscalls, 1);
-}
-
-TEST(UringBackendTest, WantWriteFlipsAcrossRegenerations) {
-  if (!uring_supported()) GTEST_SKIP() << "kernel lacks io_uring";
-  Reactor r(ReactorBackend::kUring);
-  Pipe p;
-  int writable_hits = 0;
-  // The pipe's write end is writable immediately; flipping interest on and
-  // off exercises the POLL_REMOVE + re-arm generation guard.
-  r.add_fd(p.fds[1], [&](std::uint32_t events) {
-    if (Reactor::writable(events)) ++writable_hits;
-  });
-  r.run_once(50);
-  EXPECT_EQ(writable_hits, 0);  // read-only interest so far
-  r.set_want_write(p.fds[1], true);
-  r.run_once(100);
-  EXPECT_GE(writable_hits, 1);
-  r.set_want_write(p.fds[1], false);
-  const int before = writable_hits;
-  r.run_once(50);
-  EXPECT_EQ(writable_hits, before);  // stale completions dropped by gen
-  r.remove_fd(p.fds[1]);
-}
-
-TEST(UringBackendTest, CrossThreadWakeupUnblocks) {
-  if (!uring_supported()) GTEST_SKIP() << "kernel lacks io_uring";
-  Reactor r(ReactorBackend::kUring);
-  std::thread kicker([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    r.wakeup();
-  });
-  const auto t0 = std::chrono::steady_clock::now();
-  r.run_once(5000);
-  const auto waited = std::chrono::steady_clock::now() - t0;
-  kicker.join();
-  EXPECT_LT(waited, std::chrono::seconds(4));
-}
-
-// --- ReactorPool (DESIGN.md §14) -------------------------------------------
-
-TEST(ReactorPoolTest, ResolveNetThreadsHonorsOverride) {
-  EXPECT_EQ(resolve_net_threads(0), 1u);  // clamped to >= 1
-  EXPECT_EQ(resolve_net_threads(1), 1u);
-  EXPECT_EQ(resolve_net_threads(4), 4u);
-  EXPECT_EQ(resolve_net_threads(-1), net_threads_from_env());
-}
-
-TEST(ReactorPoolTest, SizeOneHasNoWorkersAndHomesEverything) {
-  ReactorPool pool(1);
-  EXPECT_EQ(pool.size(), 1u);
-  pool.start();  // no-op
-  EXPECT_FALSE(pool.running());
-  EXPECT_EQ(pool.next_loop(), 0u);
-  int ran = 0;
-  pool.post(0, [&] { ++ran; });
-  EXPECT_EQ(pool.drain_tasks(0), 1u);  // the owner drains home tasks
-  EXPECT_EQ(ran, 1);
-}
-
-TEST(ReactorPoolTest, RoundRobinSkipsHomeLoop) {
-  ReactorPool pool(4);
-  // Sessions land on workers 1..3 only; the home loop keeps the listener
-  // and the protocol state machine.
-  std::vector<std::size_t> seen;
-  for (int i = 0; i < 7; ++i) seen.push_back(pool.next_loop());
-  for (const std::size_t loop : seen) {
-    EXPECT_GE(loop, 1u);
-    EXPECT_LE(loop, 3u);
-  }
-  EXPECT_EQ(seen[0], 1u);
-  EXPECT_EQ(seen[1], 2u);
-  EXPECT_EQ(seen[2], 3u);
-  EXPECT_EQ(seen[3], 1u);  // wraps back to the first worker
-}
-
-TEST(ReactorPoolTest, PostedTaskRunsOnTargetLoopThread) {
-  ReactorPool pool(2);
-  pool.start();
-  ASSERT_TRUE(pool.running());
-  std::atomic<bool> ran{false};
-  std::thread::id worker_id{};
-  pool.post(1, [&] {
-    worker_id = std::this_thread::get_id();
-    ran.store(true, std::memory_order_release);
-  });
-  const auto t0 = std::chrono::steady_clock::now();
-  while (!ran.load(std::memory_order_acquire) &&
-         std::chrono::steady_clock::now() - t0 < std::chrono::seconds(5)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_TRUE(ran.load());
-  EXPECT_NE(worker_id, std::this_thread::get_id());
-  pool.stop();
-}
-
-TEST(ReactorPoolTest, StopRunsTasksPostedAfterLastTurn) {
-  // The final drain after the stop flag: a task posted while the worker is
-  // shutting down must still run, never be dropped.
-  for (int round = 0; round < 20; ++round) {
-    ReactorPool pool(2);
-    pool.start();
-    std::atomic<int> ran{0};
-    pool.post(1, [&] { ran.fetch_add(1); });
-    pool.stop();
-    EXPECT_EQ(ran.load(), 1) << "round " << round;
-  }
-}
-
-// The TSan job hammers this: several producers post into one worker's MPSC
-// queue while the worker sleeps and wakes. Pins (a) no lost wakeups —
-// every task runs, stop() never strands one; (b) FIFO per producer — each
-// producer's tasks run in the order it posted them.
-TEST(ReactorPoolTest, MpscContentionKeepsFifoPerProducerAndLosesNothing) {
-  constexpr int kProducers = 4;
-  constexpr int kTasksPerProducer = 500;
-  ReactorPool pool(2);
-  pool.start();
-  std::mutex seen_mu;
-  std::vector<std::vector<int>> seen(kProducers);
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (int i = 0; i < kTasksPerProducer; ++i) {
-        pool.post(1, [&, p, i] {
-          // Runs on the worker thread, serialized by the loop itself.
-          std::lock_guard<std::mutex> lock(seen_mu);
-          seen[p].push_back(i);
-        });
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  // stop() drains the queue before joining the worker.
-  pool.stop();
-  for (int p = 0; p < kProducers; ++p) {
-    ASSERT_EQ(seen[p].size(), static_cast<std::size_t>(kTasksPerProducer))
-        << "producer " << p << " lost tasks";
-    for (int i = 0; i < kTasksPerProducer; ++i) {
-      ASSERT_EQ(seen[p][i], i) << "producer " << p << " reordered";
-    }
-  }
-}
-
-TEST(ReactorPoolTest, WorkerLoopsDispatchIoIndependently) {
-  ReactorPool pool(3);
-  Pipe p1;
-  Pipe p2;
-  std::atomic<int> hits1{0};
-  std::atomic<int> hits2{0};
-  // Register each fd on its owner loop from that loop's thread, exactly the
-  // install-task pattern CoordinatorNode uses.
-  pool.post(1, [&] {
-    pool.loop(1).add_fd(p1.read_end(), [&](std::uint32_t) {
-      p1.drain();
-      hits1.fetch_add(1);
-    });
-  });
-  pool.post(2, [&] {
-    pool.loop(2).add_fd(p2.read_end(), [&](std::uint32_t) {
-      p2.drain();
-      hits2.fetch_add(1);
-    });
-  });
-  pool.start();
-  p1.write_byte();
-  p2.write_byte();
-  const auto t0 = std::chrono::steady_clock::now();
-  while ((hits1.load() < 1 || hits2.load() < 1) &&
-         std::chrono::steady_clock::now() - t0 < std::chrono::seconds(5)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_GE(hits1.load(), 1);
-  EXPECT_GE(hits2.load(), 1);
-  // Teardown on the owner loops before the reactors are destroyed.
-  pool.post(1, [&] { pool.loop(1).remove_fd(p1.read_end()); });
-  pool.post(2, [&] { pool.loop(2).remove_fd(p2.read_end()); });
-  pool.stop();
-}
-
-TEST(ReactorPoolTest, PerLoopStatsGaugesAppearInRegistry) {
-  ReactorPool pool(2);
-  pool.enable_loop_stats();
-  pool.loop(0).run_once(0);
-  const std::string prom = obs::metrics().to_prometheus();
-  EXPECT_NE(prom.find("volley_reactor_loop0_wakeups"), std::string::npos);
-  EXPECT_NE(prom.find("volley_reactor_loop1_io_events"), std::string::npos);
-  EXPECT_NE(prom.find("volley_reactor_loop0_syscalls"), std::string::npos);
 }
 
 }  // namespace

@@ -344,7 +344,7 @@ TEST(NetIntegration, TwoTierFleetDetectsViolationThroughAggregators) {
   root_thread.join();
 
   // Shard 0 saw the subset violation and escalated upstream.
-  EXPECT_FALSE(aggregators[0]->downstream().alerts().empty());
+  EXPECT_FALSE(aggregators[0]->downstream().recent_alerts().empty());
   EXPECT_GT(aggregators[0]->escalations(), 0);
   EXPECT_FALSE(aggregators[0]->coordinator_lost());
   EXPECT_FALSE(aggregators[1]->coordinator_lost());
@@ -355,8 +355,8 @@ TEST(NetIntegration, TwoTierFleetDetectsViolationThroughAggregators) {
   // The root polled on escalation and the cached subset aggregates crossed
   // the global threshold.
   EXPECT_GT(root.global_polls(), 0);
-  ASSERT_FALSE(root.alerts().empty());
-  for (const auto& alert : root.alerts()) {
+  ASSERT_FALSE(root.recent_alerts().empty());
+  for (const auto& alert : root.recent_alerts()) {
     EXPECT_GT(alert.value, kGlobalThreshold);
   }
   // Each shard's Bye carried the summed downstream sampling ops.
