@@ -7,14 +7,18 @@
 // their cost must stay orders of magnitude below a sampling operation), and
 // the EventQueue hot path old vs. new (DESIGN.md §10) with a global
 // allocation counter proving the schedule/run cycle is allocation-free, and
-// the reactor's per-poll timer cycle (DESIGN.md §12), held to the same
-// zero-allocation gate.
+// the reactor's per-poll timer cycle (DESIGN.md §12) and one forced
+// monitor sample with its tally add (DESIGN.md §10), both held to the same
+// zero-allocation gate. BM_BetaBoundQuietTail times the β̄ kernel against
+// its baseline loop on a lane where the certified-prefix skip applies
+// (DESIGN.md §11).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <new>
 #include <queue>
 #include <unordered_set>
@@ -25,6 +29,10 @@
 #include "core/adaptive_sampler.h"
 #include "core/error_allocation.h"
 #include "core/likelihood.h"
+#include "core/likelihood_kernel.h"
+#include "core/metric_source.h"
+#include "core/monitor.h"
+#include "core/sample_tally.h"
 #include "net/reactor.h"
 #include "obs/metrics.h"
 #include "obs/trace_events.h"
@@ -32,9 +40,10 @@
 #include "stats/online_stats.h"
 
 // --- global allocation counter ----------------------------------------
-// Every route into the heap bumps g_heap_allocs; the EventQueue benches
-// report allocs/op and hard-assert that the steady-state schedule/run
-// cycle of the new queue performs none.
+// Every route into the heap bumps g_heap_allocs; the EventQueue, reactor
+// timer and forced-sample benches report allocs/op, and
+// require_no_allocs hard-asserts that their steady-state cycles perform
+// none.
 
 namespace {
 std::atomic<std::uint64_t> g_heap_allocs{0};
@@ -84,6 +93,32 @@ VOLLEY_BENCH_NOINLINE void operator delete[](void* p, std::size_t, std::align_va
 namespace volley {
 namespace {
 
+/// Acceptance gate, not just a report: warms `cycle` up with 1024 calls,
+/// then exits the process unless 4096 more perform no heap allocation.
+template <typename Cycle>
+void require_no_allocs(const char* bench, const char* what, Cycle&& cycle) {
+  for (int i = 0; i < 1024; ++i) cycle();
+  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  for (int i = 0; i < 4096; ++i) cycle();
+  const std::uint64_t seen =
+      g_heap_allocs.load(std::memory_order_relaxed) - before;
+  if (seen != 0) {
+    std::fprintf(stderr,
+                 "%s: expected 0 steady-state heap allocations over 4096 "
+                 "%s, saw %llu\n",
+                 bench, what, static_cast<unsigned long long>(seen));
+    std::exit(1);
+  }
+}
+
+/// Reports heap allocations per iteration of the timed loop since `start`.
+void report_allocs(benchmark::State& state, std::uint64_t start) {
+  state.counters["allocs/op"] = benchmark::Counter(
+      static_cast<double>(g_heap_allocs.load(std::memory_order_relaxed) -
+                          start),
+      benchmark::Counter::kAvgIterations);
+}
+
 void BM_OnlineStatsAdd(benchmark::State& state) {
   OnlineStats stats;
   double x = 0.123;
@@ -118,6 +153,26 @@ void BM_BetaBound(benchmark::State& state) {
 }
 BENCHMARK(BM_BetaBound)->Arg(1)->Arg(4)->Arg(8)->Arg(16)->Arg(40)->Arg(64);
 
+// A quiet lane polled every tick (gap-1 statistics) at I = 40: k_i stays
+// above 2^28 for the first 22 steps only, so the zero-β̄ certificate fails
+// and the loop runs. Arg 0 is the baseline loop, Arg 1 the kernel, which
+// skips the certified 22-step prefix (DESIGN.md §11). No memo: the lane's
+// value changes every sample, so a memo would miss anyway.
+void BM_BetaBoundQuietTail(benchmark::State& state) {
+  const bool kernel = state.range(0) != 0;
+  const DeltaStats stats{0.0, 0.5 / (22.5 * 0x1p28)};
+  double value = 0.5;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(value);
+    benchmark::DoNotOptimize(
+        kernel ? beta_bound_chebyshev(value, 1.0, stats, 40)
+               : beta_bound_with(value, 1.0, stats, 40,
+                                 chebyshev_step_bound));
+  }
+  state.SetLabel(kernel ? "kernel" : "baseline");
+}
+BENCHMARK(BM_BetaBoundQuietTail)->Arg(0)->Arg(1);
+
 void BM_SamplerObserve(benchmark::State& state) {
   AdaptiveSamplerOptions options;
   options.error_allowance = 0.01;
@@ -129,6 +184,37 @@ void BM_SamplerObserve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SamplerObserve);
+
+// One forced sample of a quiet gap-1 lane, the hot_shards poll path: the
+// source read, the estimator update, β̄, the AIMD rule and the add to the
+// caller's SampleTally (publication is per tick, not per sample). Held to
+// 0 heap allocations per sample.
+void BM_MonitorForcedSample(benchmark::State& state) {
+  const bool traced = obs::trace_enabled();
+  obs::set_global_trace_enabled(false);
+  // Noise of ±1.25e-10 under a margin of 0.5: k_i crosses 2^28 near step
+  // 20, as on hot_shards' quiet lanes.
+  CallableSource source(
+      [](Tick t) {
+        return 0.5 + 2.5e-10 / 1024.0 *
+                         static_cast<double>((t * 2654435761u) % 1024);
+      },
+      std::numeric_limits<Tick>::max());
+  AdaptiveSamplerOptions options;
+  options.max_interval = 40;
+  Monitor monitor(0, source, options, 1.0);
+  SampleTally tally;
+  Tick t = 0;
+  const auto cycle = [&] {
+    benchmark::DoNotOptimize(monitor.force_sample(t++, tally));
+  };
+  require_no_allocs("BM_MonitorForcedSample", "forced samples", cycle);
+  const std::uint64_t start = g_heap_allocs.load(std::memory_order_relaxed);
+  for (auto _ : state) cycle();
+  report_allocs(state, start);
+  obs::set_global_trace_enabled(traced);
+}
+BENCHMARK(BM_MonitorForcedSample);
 
 void BM_AdaptiveAllocation(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -327,31 +413,16 @@ void schedule_run_cycle(Queue& q, std::uint64_t& sink) {
 void BM_EventQueueScheduleRun(benchmark::State& state) {
   EventQueue q;
   std::uint64_t sink = 0;
-  // Warm the record heap and callback slot slab to steady state.
-  for (int i = 0; i < 1024; ++i) schedule_run_cycle(q, sink);
-  // Acceptance gate, not just a report: the steady-state schedule/run
-  // cycle must never touch the heap (the 24-byte capture fits the inline
-  // callback buffer, and a warm queue reuses its freed slot).
-  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
-  for (int i = 0; i < 4096; ++i) schedule_run_cycle(q, sink);
-  const std::uint64_t seen =
-      g_heap_allocs.load(std::memory_order_relaxed) - before;
-  if (seen != 0) {
-    std::fprintf(stderr,
-                 "BM_EventQueueScheduleRun: expected 0 steady-state heap "
-                 "allocations over 4096 schedule/run cycles, saw %llu\n",
-                 static_cast<unsigned long long>(seen));
-    std::exit(1);
-  }
+  // The 24-byte capture fits the inline callback buffer, and a warm queue
+  // reuses its freed slot.
+  require_no_allocs("BM_EventQueueScheduleRun", "schedule/run cycles",
+                    [&] { schedule_run_cycle(q, sink); });
   const std::uint64_t start = g_heap_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) {
     schedule_run_cycle(q, sink);
   }
   benchmark::DoNotOptimize(sink);
-  state.counters["allocs/op"] = benchmark::Counter(
-      static_cast<double>(g_heap_allocs.load(std::memory_order_relaxed) -
-                          start),
-      benchmark::Counter::kAvgIterations);
+  report_allocs(state, start);
 }
 BENCHMARK(BM_EventQueueScheduleRun);
 
@@ -364,10 +435,7 @@ void BM_LegacyEventQueueScheduleRun(benchmark::State& state) {
     schedule_run_cycle(q, sink);
   }
   benchmark::DoNotOptimize(sink);
-  state.counters["allocs/op"] = benchmark::Counter(
-      static_cast<double>(g_heap_allocs.load(std::memory_order_relaxed) -
-                          start),
-      benchmark::Counter::kAvgIterations);
+  report_allocs(state, start);
 }
 BENCHMARK(BM_LegacyEventQueueScheduleRun);
 
@@ -394,10 +462,7 @@ void schedule_cancel_batches(benchmark::State& state) {
     q.run_until(q.now() + 2.0);
   }
   benchmark::DoNotOptimize(sink);
-  state.counters["allocs/op"] = benchmark::Counter(
-      static_cast<double>(g_heap_allocs.load(std::memory_order_relaxed) -
-                          start),
-      benchmark::Counter::kAvgIterations);
+  report_allocs(state, start);
 }
 
 void BM_EventQueueScheduleCancel(benchmark::State& state) {
@@ -432,28 +497,14 @@ void BM_ReactorTimerArmCancel(benchmark::State& state) {
     reactor.cancel_timer(id);
     benchmark::DoNotOptimize(reactor.next_deadline_ms());
   };
-  for (int i = 0; i < 1024; ++i) cycle();
-  // Acceptance gate: a warm reactor arms, cancels and finds its next
-  // deadline without touching the heap.
-  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
-  for (int i = 0; i < 4096; ++i) cycle();
-  const std::uint64_t seen =
-      g_heap_allocs.load(std::memory_order_relaxed) - before;
-  if (seen != 0) {
-    std::fprintf(stderr,
-                 "BM_ReactorTimerArmCancel: expected 0 steady-state heap "
-                 "allocations over 4096 arm/cancel/next-deadline cycles, "
-                 "saw %llu\n",
-                 static_cast<unsigned long long>(seen));
-    std::exit(1);
-  }
+  // A warm reactor arms, cancels and finds its next deadline without
+  // touching the heap.
+  require_no_allocs("BM_ReactorTimerArmCancel",
+                    "arm/cancel/next-deadline cycles", cycle);
   const std::uint64_t start = g_heap_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) cycle();
   benchmark::DoNotOptimize(sink);
-  state.counters["allocs/op"] = benchmark::Counter(
-      static_cast<double>(g_heap_allocs.load(std::memory_order_relaxed) -
-                          start),
-      benchmark::Counter::kAvgIterations);
+  report_allocs(state, start);
 }
 BENCHMARK(BM_ReactorTimerArmCancel);
 

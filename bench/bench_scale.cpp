@@ -7,15 +7,15 @@
 //                 pre-due-index, pre-kernel baseline;
 //   index+scalar  due index, still the scalar β̄ loop (VOLLEY_SCALAR_BETA
 //                 semantics) — isolates the scheduling win;
-//   index+kernel  due index plus the likelihood kernel's batched drain —
-//                 the default path; isolates the β̄-evaluation win.
+//   index+kernel  due index plus the likelihood kernel — the default
+//                 path; isolates the β̄-evaluation win.
 // Idle ticks (nothing due — the due index's O(1) case) and sample ticks
 // (every monitor due — the β̄ kernel's case) are timed as separate phases.
 // Im = 128 also exercises the Im-derived interval-histogram bound.
 //
 // Part 2 — the β̄-evaluation phase alone: identical lane populations
-// evaluated by the scalar loop, the batch kernel (cold memos), and the
-// batch kernel with warm memos (the incremental layer), reporting ns per
+// evaluated by the scalar loop, the kernel lane by lane (cold memos), and
+// the kernel with warm memos (the incremental layer), reporting ns per
 // evaluation. Two populations: "quiet" (far below threshold — the zero-β̄
 // certificate regime adaptive sampling spends its life in) and "noisy"
 // (near threshold — the blocked/SIMD product loop has to run). Every
@@ -229,8 +229,8 @@ struct BetaEvalTiming {
   std::size_t lanes{0};
   int reps{0};
   double scalar_ns{0.0};       // baseline loop, per evaluation
-  double kernel_ns{0.0};       // batch kernel, cold memos
-  double incremental_ns{0.0};  // batch kernel, warm memos
+  double kernel_ns{0.0};       // kernel, cold memos
+  double incremental_ns{0.0};  // kernel, warm memos
 
   double kernel_speedup() const { return scalar_ns / kernel_ns; }
   double incremental_speedup() const { return scalar_ns / incremental_ns; }
@@ -274,9 +274,10 @@ BetaEvalTiming time_beta_eval(bool quiet_population, std::size_t lanes,
   out.scalar_ns = (bench::now_seconds() - s0) * 1e9 /
                   (static_cast<double>(lanes) * reps);
 
-  const auto check = [&](const BetaBatch& batch, const char* variant) {
+  std::vector<double> got(lanes);
+  const auto check = [&](const char* variant) {
     for (std::size_t l = 0; l < lanes; ++l) {
-      if (std::memcmp(&batch.beta[l], &expected[l], sizeof(double)) != 0) {
+      if (std::memcmp(&got[l], &expected[l], sizeof(double)) != 0) {
         std::fprintf(stderr,
                      "bench scale: %s beta diverged from the scalar loop at "
                      "lane %zu (identity violation)\n",
@@ -285,40 +286,31 @@ BetaEvalTiming time_beta_eval(bool quiet_population, std::size_t lanes,
       }
     }
   };
+  const auto evaluate = [&](std::vector<BetaBoundCache>& memos) {
+    const double t0 = bench::now_seconds();
+    for (std::size_t l = 0; l < lanes; ++l) {
+      got[l] = beta_bound_chebyshev(value[l], threshold[l], stats[l],
+                                    interval, &memos[l]);
+    }
+    return bench::now_seconds() - t0;
+  };
 
-  // Batch kernel, cold memos: every evaluation re-proves the certificate
-  // or re-runs the blocked loop (caches cleared each rep).
+  // Kernel, cold memos: every evaluation re-proves the certificate or
+  // re-runs the blocked loop (caches cleared each rep).
   std::vector<BetaBoundCache> memos(lanes);
-  BetaBatch batch;
   double kernel_seconds = 0.0;
   for (int rep = 0; rep < reps; ++rep) {
     for (auto& memo : memos) memo.invalidate();
-    batch.clear();
-    for (std::size_t l = 0; l < lanes; ++l) {
-      batch.push_lane(value[l], threshold[l], stats[l], interval, false,
-                      false, &memos[l]);
-    }
-    const double t0 = bench::now_seconds();
-    beta_bound_batch(batch);
-    kernel_seconds += bench::now_seconds() - t0;
+    kernel_seconds += evaluate(memos);
   }
-  check(batch, "batch-kernel");
+  check("kernel");
   out.kernel_ns = kernel_seconds * 1e9 / (static_cast<double>(lanes) * reps);
 
   // Incremental: memos stay warm, so each evaluation is a key compare and
   // a memo read (the same-interval hit path).
   double incremental_seconds = 0.0;
-  for (int rep = 0; rep < reps; ++rep) {
-    batch.clear();
-    for (std::size_t l = 0; l < lanes; ++l) {
-      batch.push_lane(value[l], threshold[l], stats[l], interval, false,
-                      false, &memos[l]);
-    }
-    const double t0 = bench::now_seconds();
-    beta_bound_batch(batch);
-    incremental_seconds += bench::now_seconds() - t0;
-  }
-  check(batch, "incremental");
+  for (int rep = 0; rep < reps; ++rep) incremental_seconds += evaluate(memos);
+  check("incremental");
   out.incremental_ns =
       incremental_seconds * 1e9 / (static_cast<double>(lanes) * reps);
   set_scalar_beta(prior_scalar);
@@ -437,7 +429,7 @@ struct SingleRow {
   double overall_speedup;
   // β̄ kernel columns (index+kernel vs index+scalar, DESIGN.md §11):
   double scalar_sample_tps;   // sample ticks/s, scalar β̄ loop
-  double kernel_sample_tps;   // sample ticks/s, batched kernel
+  double kernel_sample_tps;   // sample ticks/s, kernel
   double kernel_sample_speedup;
   double kernel_overall_tps;
   double kernel_overall_speedup;  // vs index+scalar: the headline claim
@@ -541,7 +533,7 @@ void run() {
   }
 
   bench::print_header(
-      "Scale — single-run hot path: due index + batched β̄ kernel",
+      "Scale — single-run hot path: due index + β̄ kernel",
       "in-process mirror of the paper's 800-VM deployment scale (Sec. V)");
   std::printf(
       "steady state: every sampler pinned at Im=%lld, so %lld of every "
@@ -592,7 +584,7 @@ void run() {
   }
   std::printf(
       "\n(idle speedup: due-index vs scan on ticks with nothing due; beta "
-      "speedup: batched likelihood kernel vs the scalar β̄ loop on sample "
+      "speedup: likelihood kernel vs the scalar β̄ loop on sample "
       "ticks; overall: index+kernel vs index+scalar across all ticks — the "
       "DESIGN.md §11 headline; vs seed: index+kernel vs scan+scalar, the "
       "pre-index pre-kernel baseline. Identical RunResult accounting "

@@ -1,75 +1,8 @@
 #include "core/adaptive_sampler.h"
 
-#include <algorithm>
-#include <cstdint>
 #include <stdexcept>
 
-#include "core/likelihood_kernel.h"
-#include "obs/metrics.h"
-
 namespace volley {
-
-namespace {
-
-/// Handles into the current registry, re-resolved per thread whenever a
-/// scoped registry is installed (registration locks; the per-observe
-/// increments below never do).
-struct SamplerMetrics {
-  obs::Counter* observations;
-  obs::Counter* resets;
-  obs::Counter* growths;
-  obs::HistogramMetric* beta;
-
-  static SamplerMetrics make(obs::MetricsRegistry& m) {
-    return SamplerMetrics{
-        &m.counter("volley_sampler_observations_total",
-                   "Adaptation-rule evaluations (one per sampling operation)"),
-        &m.counter("volley_sampler_interval_resets_total",
-                   "Multiplicative decreases: beta_bound exceeded err, "
-                   "interval reset to Id"),
-        &m.counter("volley_sampler_interval_growths_total",
-                   "Additive increases: p consecutive safe checks grew the "
-                   "interval by one Id"),
-        &m.histogram("volley_sampler_beta_bound", 0.0, 1.0, 20,
-                     "Violation-likelihood bound beta_bound(I) at each "
-                     "adaptation decision"),
-    };
-  }
-
-  static const SamplerMetrics& get() { return obs::scoped_handles(&make); }
-};
-
-/// The chosen-interval histogram, with the upper bound derived from the
-/// first-registering sampler's Im instead of the former hard cap of 64
-/// (which silently funneled every interval of a large-Im configuration
-/// into the overflow bucket). The bound is Im+1 rounded up to a multiple
-/// of 64, one unit-width bin per interval (bins capped at 1024): rounding
-/// keeps every configuration with Im <= 63 on the exact legacy 0-64x64
-/// shape, so run-private registries with heterogeneous small Im stay
-/// merge-compatible with their parent (Histogram::merge requires matching
-/// shapes). Per MetricsRegistry semantics the shape is fixed by the first
-/// registration in each registry; later samplers with a larger Im in the
-/// same registry spill into overflow (visible in the snapshot's overflow
-/// count). Documented in DESIGN.md's metric catalog.
-obs::HistogramMetric& interval_histogram(Tick max_interval) {
-  thread_local std::uint64_t owner_uid = 0;  // no registry has uid 0
-  thread_local obs::HistogramMetric* handle = nullptr;
-  obs::MetricsRegistry& m = obs::metrics();
-  if (m.uid() != owner_uid) {
-    const Tick hi = (max_interval / 64 + 1) * 64;
-    const auto bins =
-        static_cast<std::size_t>(std::min<Tick>(hi, 1024));
-    handle = &m.histogram("volley_sampler_interval_ticks", 0.0,
-                          static_cast<double>(hi), bins,
-                          "Sampling interval chosen after each observation, "
-                          "in default intervals Id (upper bound derived "
-                          "from max_interval at first registration)");
-    owner_uid = m.uid();
-  }
-  return *handle;
-}
-
-}  // namespace
 
 void AdaptiveSamplerOptions::validate() const {
   if (error_allowance < 0.0 || error_allowance > 1.0)
@@ -91,34 +24,21 @@ AdaptiveSampler::AdaptiveSampler(const AdaptiveSamplerOptions& options,
 
 Tick AdaptiveSampler::observe(double value, Tick gap) {
   estimator_.observe(value, gap);
-  return observe_finish(estimator_.beta_bound(threshold_, interval_));
-}
-
-void AdaptiveSampler::observe_begin(double value, Tick gap,
-                                    BetaBatch& batch) {
-  estimator_.observe(value, gap);
-  estimator_.push_lane(threshold_, interval_, batch);
-}
-
-Tick AdaptiveSampler::observe_finish(double beta) {
-  last_beta_ = beta;
-
-  const auto& om = SamplerMetrics::get();
-  om.observations->inc();
-  om.beta->observe(last_beta_);
+  last_beta_ = estimator_.beta_bound(threshold_, interval_);
+  last_change_ = IntervalChange::kHold;
 
   const double err = options_.error_allowance;
   if (last_beta_ > err) {
     // Estimated mis-detection rate exceeds the allowance: fall back to the
     // default interval immediately (multiplicative-decrease step).
-    if (interval_ != 1) om.resets->inc();
+    if (interval_ != 1) last_change_ = IntervalChange::kReset;
     interval_ = 1;
     safe_streak_ = 0;
   } else if (last_beta_ <= (1.0 - options_.slack_ratio) * err) {
     if (++safe_streak_ >= options_.patience) {
       if (interval_ < options_.max_interval) {
         ++interval_;
-        om.growths->inc();
+        last_change_ = IntervalChange::kGrowth;
       }
       safe_streak_ = 0;
     }
@@ -126,8 +46,6 @@ Tick AdaptiveSampler::observe_finish(double beta) {
     // Inside the slack band: acceptable, but growing would be risky.
     safe_streak_ = 0;
   }
-  interval_histogram(options_.max_interval)
-      .observe(static_cast<double>(interval_));
   return interval_;
 }
 
@@ -152,6 +70,7 @@ void AdaptiveSampler::reset() {
   interval_ = 1;
   safe_streak_ = 0;
   last_beta_ = 1.0;
+  last_change_ = IntervalChange::kHold;
 }
 
 }  // namespace volley

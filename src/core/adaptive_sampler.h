@@ -24,27 +24,14 @@
 //   e_i = beta / (1-gamma) error allowance that growth would require
 //                          (inverts the increase rule above).
 //
-// Batched evaluation: the rule factors into observe_begin (feed the
-// estimator, emit a β̄ evaluation lane) and observe_finish (apply the rule
-// to the evaluated β̄), so a coordinator can drain a whole tick's due
-// monitors into one likelihood-kernel batch (DESIGN.md §11). observe() is
-// begin+evaluate+finish fused; both shapes produce bit-identical decisions
-// because the kernel's β̄ is bit-identical to the scalar evaluation.
-//
 // Units: values/thresholds are in the monitored metric's unit; intervals
 // are integer multiples of Id (Tick); err, gamma, beta are dimensionless
 // probabilities in [0, 1].
 //
 // Thread-safety: none — one sampler per monitor, driven from one thread.
-// A batch (BetaBatch) holds borrowed pointers into its samplers'
-// estimators, so it is confined to the same thread as the monitors it
-// drains: one coordinator, one thread. Future coordinator shards each own
-// their monitors and their batch, so shards never share sampler state —
-// the kernel itself is stateless apart from the process-global escape
-// hatch (an atomic). Every observe_finish() also feeds the process-global
-// obs/ registry (counters volley_sampler_*, histograms of chosen interval
-// and beta bound); those instruments are thread-safe, so concurrent
-// monitors can share them.
+// The sampler records no metrics: observe() leaves what its rule did in
+// last_change(), and the monitor tallies it (core/sample_tally.h) for the
+// code that runs the tick to publish once per tick.
 #pragma once
 
 #include <cstdint>
@@ -53,6 +40,11 @@
 #include "core/types.h"
 
 namespace volley {
+
+/// What one application of the rule did to the interval. kReset is a
+/// *counted* multiplicative decrease: a reset while already at I = 1 is
+/// kHold, as is a safe check that finds I already at Im.
+enum class IntervalChange : std::uint8_t { kHold, kReset, kGrowth };
 
 struct AdaptiveSamplerOptions {
   double error_allowance{0.01};  // err, in [0, 1]
@@ -73,22 +65,14 @@ class AdaptiveSampler {
   /// before the next scheduled sample.
   Tick observe(double value, Tick gap);
 
-  /// Phase 1 of a batched observation: feeds the estimator and pushes this
-  /// sampler's β̄ evaluation (current value/threshold/stats/interval) as
-  /// one lane of `batch`. Pair with observe_finish once the batch has been
-  /// evaluated; interleaving another observe breaks the pairing.
-  void observe_begin(double value, Tick gap, BetaBatch& batch);
-
-  /// Phase 2: applies the adaptation rule to the evaluated bound `beta`
-  /// (this sampler's lane result) and returns the next interval. Also the
-  /// tail of observe(), so both shapes share one rule implementation.
-  Tick observe_finish(double beta);
-
   /// Current sampling interval in ticks.
   Tick interval() const { return interval_; }
 
   /// beta_bound(I) computed at the most recent observe() call; 1 before any.
   double last_beta() const { return last_beta_; }
+
+  /// What the most recent observe() did to the interval; kHold before any.
+  IntervalChange last_change() const { return last_change_; }
 
   double threshold() const { return threshold_; }
   void set_threshold(double threshold) { threshold_ = threshold; }
@@ -119,6 +103,7 @@ class AdaptiveSampler {
   Tick interval_{1};
   int safe_streak_{0};
   double last_beta_{1.0};
+  IntervalChange last_change_{IntervalChange::kHold};
 };
 
 }  // namespace volley

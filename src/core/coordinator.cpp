@@ -39,12 +39,6 @@ struct CoordinatorMetrics {
   }
 };
 
-/// Minimum number of due monitors before the batched begin_step /
-/// beta_bound_batch / finish_step drain pays for its lane bookkeeping;
-/// below this the per-monitor step() loop is at least as fast. The drain
-/// is bit-identical either way, so the constant is pure tuning.
-constexpr std::size_t kBatchMin = 8;
-
 /// VOLLEY_SCAN_TICKS: set (and not "0") forces the legacy scan-all loop.
 bool scan_ticks_from_env() {
   // Read once per Coordinator construction, before any monitor threads
@@ -143,38 +137,19 @@ Coordinator::TickResult Coordinator::run_tick(Tick t) {
     // baseline (VOLLEY_SCAN_TICKS, identity tests, bench_scale).
     for (auto& m : monitors_) {
       if (!m->due(t)) continue;
-      const auto outcome = m->step(t);
+      const auto outcome = m->step(t, tally_);
       result.any_due = true;
       if (outcome.local_violation) ++result.local_violations;
     }
     if (t >= cursor_) cursor_ = t + 1;
   } else {
     collect_due(t);
-    if (due_scratch_.size() >= kBatchMin && !scalar_beta()) {
-      // Batched drain: every due monitor's β̄ is evaluated in one
-      // likelihood-kernel invocation (DESIGN.md §11). Side effects run in
-      // the finish phase, in ascending id order, so metrics, traces, and
-      // results stay bit-identical to the per-monitor loop below.
-      beta_batch_.clear();
-      for (const MonitorId id : due_scratch_)
-        monitors_[id]->begin_step(t, beta_batch_);
-      beta_bound_batch(beta_batch_);
-      std::size_t lane = 0;
-      for (const MonitorId id : due_scratch_) {
-        Monitor& m = *monitors_[id];
-        const auto outcome = m.finish_step(t, beta_batch_.beta[lane++]);
-        result.any_due = true;
-        if (outcome.local_violation) ++result.local_violations;
-        due_index_insert(id, m.next_sample_tick());
-      }
-    } else {
-      for (const MonitorId id : due_scratch_) {
-        Monitor& m = *monitors_[id];
-        const auto outcome = m.step(t);
-        result.any_due = true;
-        if (outcome.local_violation) ++result.local_violations;
-        due_index_insert(id, m.next_sample_tick());
-      }
+    for (const MonitorId id : due_scratch_) {
+      Monitor& m = *monitors_[id];
+      const auto outcome = m.step(t, tally_);
+      result.any_due = true;
+      if (outcome.local_violation) ++result.local_violations;
+      due_index_insert(id, m.next_sample_tick());
     }
   }
 
@@ -187,7 +162,7 @@ Coordinator::TickResult Coordinator::run_tick(Tick t) {
     CoordinatorMetrics::get().polls->inc();
     double sum = 0.0;
     for (auto& m : monitors_) {
-      sum += m->force_sample(t).sample.value;
+      sum += m->force_sample(t, tally_).sample.value;
     }
     result.global_value = sum;
     result.global_violation = sum > spec_.global_threshold;
@@ -203,6 +178,7 @@ Coordinator::TickResult Coordinator::run_tick(Tick t) {
     // invalidating their ring entries wholesale; re-derive the index.
     if (!scan_ticks_) rebuild_due_index();
   }
+  publish(tally_);
 
   maybe_reallocate(t);
   return result;
@@ -210,7 +186,8 @@ Coordinator::TickResult Coordinator::run_tick(Tick t) {
 
 double Coordinator::force_poll(Tick t) {
   double sum = 0.0;
-  for (auto& m : monitors_) sum += m->force_sample(t).sample.value;
+  for (auto& m : monitors_) sum += m->force_sample(t, tally_).sample.value;
+  publish(tally_);
   // Every monitor that wasn't already sampled at t rescheduled; the ring's
   // entries are stale wholesale (same invariant as the in-tick poll).
   if (!scan_ticks_) rebuild_due_index();

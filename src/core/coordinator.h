@@ -26,8 +26,8 @@
 #include <vector>
 
 #include "core/error_allocation.h"
-#include "core/likelihood_kernel.h"
 #include "core/monitor.h"
+#include "core/sample_tally.h"
 #include "core/task.h"
 #include "core/types.h"
 
@@ -51,11 +51,9 @@ class Coordinator {
 
   /// Advances the task by one tick. Touches only the monitors due at `t`
   /// (see the due-index notes below); the result and every observable side
-  /// effect are bit-identical to scanning all monitors in id order. When
-  /// enough monitors are due at once, their β̄ evaluations are drained
-  /// into one likelihood-kernel batch invocation (begin_step /
-  /// beta_bound_batch / finish_step, DESIGN.md §11) — also bit-identical,
-  /// and disabled along with the kernel by VOLLEY_SCALAR_BETA.
+  /// effect are bit-identical to scanning all monitors in id order. The
+  /// tick's sampling operations are published to the metrics registry
+  /// once, before it returns (core/sample_tally.h).
   TickResult run_tick(Tick t);
 
   /// Escape hatch: when true, run_tick scans every monitor calling due(t)
@@ -87,7 +85,8 @@ class Coordinator {
   /// returns the aggregate. Unlike the poll inside run_tick this does not
   /// count a global poll, raise alerts, or touch metrics — the caller owns
   /// that accounting. Forced samples reschedule monitors wholesale, so the
-  /// due index is rebuilt.
+  /// due index is rebuilt. The forced samples themselves are published to
+  /// the monitor and sampler instruments, as run_tick's are.
   double force_poll(Tick t);
 
   /// Replaces the task-level error budget err (the root tier pushes a new
@@ -155,7 +154,7 @@ class Coordinator {
   std::size_t window_{0};                         // bucket count (max Im + 2)
   std::vector<std::vector<MonitorId>> buckets_;   // ring keyed tick % window_
   std::vector<MonitorId> due_scratch_;            // ids due this tick, sorted
-  BetaBatch beta_batch_;                          // sample-tick drain scratch
+  SampleTally tally_;                             // published once per tick
 
   std::int64_t global_polls_{0};
   std::int64_t global_violations_{0};

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstddef>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
@@ -50,7 +51,9 @@ constexpr double kCertCondition = 0x1p-20;
 /// deterministic-drift step with margin > 0 contributes an exact 1.0.
 bool unit_factor_certificate(double tv, const DeltaStats& s, Tick lo,
                              Tick hi) {
-  if (s.stddev < 0.0) return false;  // never produced by OnlineStats
+  // σ < 0 is never produced by OnlineStats; σ = NaN must fail too (the
+  // baseline's factors are then NaN, not 1.0), hence the positive form.
+  if (!(s.stddev >= 0.0)) return false;
   const Tick ends[2] = {lo, hi};
   for (const Tick e : ends) {
     const double di = static_cast<double>(e);
@@ -167,6 +170,28 @@ void set_scalar_beta(bool scalar) {
   scalar_beta_flag().store(scalar, std::memory_order_relaxed);
 }
 
+Tick certified_unit_prefix(double value, double threshold,
+                           const DeltaStats& stats, Tick interval) {
+  // I = 1 has no prefix to skip; returning before the division keeps the
+  // I = 1 evaluations (every lane at the default interval) as cheap as
+  // before.
+  if (interval <= 1) return 0;
+  const double tv = threshold - value;
+  // k_i ≥ kCertMinK ⟺ T − v ≥ i·(σ·kCertMinK + μ) when the bracket is
+  // positive. Positive conditions, so a NaN anywhere skips nothing.
+  if (!(stats.stddev > 0.0) || !(tv > 0.0)) return 0;
+  const double denom = stats.stddev * kCertMinK + stats.mean;
+  if (!(denom > 0.0)) return 0;
+  const double q = tv / denom;
+  if (!(q >= 1.0)) return 0;
+  const Tick j = q >= static_cast<double>(interval - 1)
+                     ? interval - 1
+                     : static_cast<Tick>(q);
+  // The closed form only names the candidate; rounding in it can cost the
+  // skip, never the result, because the certificate decides.
+  return unit_factor_certificate(tv, stats, 1, j) ? j : 0;
+}
+
 double beta_bound_chebyshev(double value, double threshold,
                             const DeltaStats& stats, Tick interval,
                             BetaBoundCache* cache) {
@@ -213,61 +238,13 @@ double beta_bound_chebyshev(double value, double threshold,
     return 0.0;
   }
 
-  const LoopOutcome full = beta_loop(tv, stats, 1, 1.0, interval);
+  // The factors of a certified prefix [1, j] are exactly 1.0 and neither
+  // early exit fires on 1.0, so starting the loop at j + 1 with survive =
+  // 1.0 folds the same product.
+  const Tick skip = certified_unit_prefix(value, threshold, stats, interval);
+  const LoopOutcome full = beta_loop(tv, stats, skip + 1, 1.0, interval);
   store(cache, value, threshold, stats, full);
   return full.result;
-}
-
-void BetaBatch::clear() {
-  value.clear();
-  threshold.clear();
-  mean.clear();
-  stddev.clear();
-  interval.clear();
-  cold.clear();
-  gaussian.clear();
-  cache.clear();
-  beta.clear();
-}
-
-void BetaBatch::push_lane(double v, double t, const DeltaStats& s, Tick i,
-                          bool is_cold, bool is_gaussian,
-                          BetaBoundCache* memo) {
-  value.push_back(v);
-  threshold.push_back(t);
-  mean.push_back(s.mean);
-  stddev.push_back(s.stddev);
-  interval.push_back(i);
-  cold.push_back(is_cold ? 1 : 0);
-  gaussian.push_back(is_gaussian ? 1 : 0);
-  cache.push_back(memo);
-  beta.push_back(0.0);
-}
-
-void beta_bound_batch(BetaBatch& batch) {
-  const std::size_t lanes = batch.size();
-  batch.beta.resize(lanes);
-  const bool scalar = scalar_beta();
-  for (std::size_t l = 0; l < lanes; ++l) {
-    if (batch.cold[l] != 0) {
-      batch.beta[l] = 1.0;  // cold start: conservative bound (likelihood.h)
-      continue;
-    }
-    const DeltaStats s{batch.mean[l], batch.stddev[l]};
-    if (batch.gaussian[l] != 0) {
-      // The Gaussian ablation bound has no kernel fast path (erfc per
-      // step); it runs the baseline loop exactly as the estimator does.
-      batch.beta[l] = beta_bound_with(batch.value[l], batch.threshold[l], s,
-                                      batch.interval[l], gaussian_step_bound);
-    } else if (scalar) {
-      batch.beta[l] = beta_bound_with(batch.value[l], batch.threshold[l], s,
-                                      batch.interval[l], chebyshev_step_bound);
-    } else {
-      batch.beta[l] = beta_bound_chebyshev(batch.value[l], batch.threshold[l],
-                                           s, batch.interval[l],
-                                           batch.cache[l]);
-    }
-  }
 }
 
 }  // namespace volley

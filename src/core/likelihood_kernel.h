@@ -16,7 +16,10 @@
 //     and β̄ is exactly 0.0. Two endpoint evaluations of k_i certify this
 //     (k is monotone in i), with a 2× headroom over the rounding threshold
 //     and a conditioning guard on the margin subtraction; DESIGN.md §11
-//     gives the ulp argument.
+//     gives the ulp argument. When the certificate fails on [1, I], a
+//     closed-form prefix [1, j] (the steps whose k_i clears the same
+//     bound) is certified the same way and skipped: its factors are
+//     exactly 1.0, so the loop starts at j + 1 with survive = 1.0.
 //
 //  2. Incremental prefix reuse (O(ΔI)). A small per-estimator memo
 //     (`BetaBoundCache`) keeps the survive product after the last
@@ -36,31 +39,18 @@
 //     then folded serially in i order so the product and its saturation
 //     early-exits match the baseline step for step.
 //
-// `beta_bound_batch` evaluates a structure-of-arrays fleet of lanes in one
-// call — the coordinator's sample-tick drain feeds every due monitor into
-// it, so a phase-locked fleet is one kernel invocation instead of 50k
-// virtual-call chains. Lanes carry the estimator options that matter
-// (cold start, Gaussian ablation bound) so a batch evaluation is exactly
-// `ViolationLikelihoodEstimator::beta_bound` per lane.
-//
 // Escape hatch / identity baseline: `set_scalar_beta(true)` (env:
 // `VOLLEY_SCALAR_BETA=1`, read once like VOLLEY_SCAN_TICKS) routes every
-// evaluation back through the verbatim baseline loop and disables the
-// coordinator's batch drain. tests/test_likelihood_kernel.cpp asserts
-// kernel == baseline bitwise across a property sweep; bench_scale
+// evaluation back through the verbatim baseline loop.
+// tests/test_likelihood_kernel.cpp asserts kernel == baseline bitwise
+// across a property sweep; bench_scale
 // re-asserts identical runs scalar-vs-kernel on every invocation.
 //
 // Thread-safety: the flag accessors are thread-safe (relaxed atomic). A
 // `BetaBoundCache` belongs to one estimator and inherits its confinement
-// (one monitor, one thread). A `BetaBatch` is scratch owned by one
-// coordinator; concurrent coordinator shards must each own their batch —
-// the kernel itself keeps no mutable global state, so shards never
-// contend (the contract the sharding work in ROADMAP relies on).
+// (one monitor, one thread). The kernel itself keeps no mutable global
+// state, so coordinator shards never contend.
 #pragma once
-
-#include <cstddef>
-#include <cstdint>
-#include <vector>
 
 #include "common/clock.h"
 #include "core/likelihood.h"
@@ -75,37 +65,19 @@ bool scalar_beta();
 /// run to prove both paths agree).
 void set_scalar_beta(bool scalar);
 
+/// Length j of the prefix [1, j] of β̄(I)'s steps whose survival factors
+/// are provably exactly 1.0 (k_i ≥ 2^28, checked by the same endpoint
+/// certificate as layer 1), capped at I − 1; 0 when there is none (I = 1,
+/// σ ≤ 0, a non-positive margin, NaN). beta_bound_chebyshev starts its
+/// product loop at j + 1 when the certificate fails on all of [1, I].
+Tick certified_unit_prefix(double value, double threshold,
+                           const DeltaStats& stats, Tick interval);
+
 /// Chebyshev β̄(I), bitwise identical to
 /// `beta_bound_with(value, threshold, stats, interval, chebyshev_step_bound)`.
 /// `cache` may be null (no reuse across calls).
 double beta_bound_chebyshev(double value, double threshold,
                             const DeltaStats& stats, Tick interval,
                             BetaBoundCache* cache = nullptr);
-
-/// Structure-of-arrays lane set for one batch evaluation. Vectors are
-/// parallel; `clear()` keeps capacity so a reused batch allocates nothing
-/// in steady state (same discipline as the due index's scratch).
-struct BetaBatch {
-  std::vector<double> value;
-  std::vector<double> threshold;
-  std::vector<double> mean;
-  std::vector<double> stddev;
-  std::vector<Tick> interval;
-  std::vector<std::uint8_t> cold;      // 1: no statistics yet -> β̄ = 1
-  std::vector<std::uint8_t> gaussian;  // 1: kGaussian ablation bound
-  std::vector<BetaBoundCache*> cache;  // per-lane memo, entries may be null
-  std::vector<double> beta;            // output, sized by beta_bound_batch
-
-  void clear();
-  std::size_t size() const { return value.size(); }
-  void push_lane(double v, double t, const DeltaStats& s, Tick i,
-                 bool is_cold, bool is_gaussian, BetaBoundCache* memo);
-};
-
-/// Evaluates every lane: per lane the result is bitwise identical to what
-/// `ViolationLikelihoodEstimator::beta_bound` would return for that
-/// estimator state — including the cold-start 1.0, the Gaussian ablation
-/// path, and the scalar_beta() escape hatch.
-void beta_bound_batch(BetaBatch& batch);
 
 }  // namespace volley

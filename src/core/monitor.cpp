@@ -2,39 +2,16 @@
 
 #include <stdexcept>
 
-#include "obs/metrics.h"
 #include "obs/trace_events.h"
 
 namespace volley {
-
-namespace {
-
-struct MonitorMetrics {
-  obs::Counter* scheduled;
-  obs::Counter* forced;
-  obs::Counter* violations;
-
-  static MonitorMetrics make(obs::MetricsRegistry& m) {
-    return MonitorMetrics{
-        &m.counter("volley_monitor_scheduled_ops_total",
-                   "Sampling operations on the monitor's own schedule"),
-        &m.counter("volley_monitor_forced_ops_total",
-                   "Sampling operations forced by coordinator global polls"),
-        &m.counter("volley_monitor_local_violations_total",
-                   "Samples that exceeded the monitor's local threshold T_i"),
-    };
-  }
-
-  static const MonitorMetrics& get() { return obs::scoped_handles(&make); }
-};
-
-}  // namespace
 
 Monitor::Monitor(MonitorId id, const MetricSource& source,
                  const AdaptiveSamplerOptions& options, double local_threshold)
     : id_(id), source_(source), sampler_(options, local_threshold) {}
 
-Monitor::Outcome Monitor::sample_at(Tick t, SampleReason reason) {
+Monitor::Outcome Monitor::sample_at(Tick t, SampleReason reason,
+                                    SampleTally& tally) {
   if (last_sample_tick_ && t <= *last_sample_tick_) {
     if (t == *last_sample_tick_ && reason == SampleReason::kGlobalPoll) {
       // The datum for this tick is already in hand; serve it for free.
@@ -49,26 +26,6 @@ Monitor::Outcome Monitor::sample_at(Tick t, SampleReason reason) {
   const double value = source_.value_at(t);
   const Tick gap = last_sample_tick_ ? t - *last_sample_tick_ : 1;
   const Tick interval = sampler_.observe(value, gap);
-  return apply_sample(t, value, interval, reason);
-}
-
-void Monitor::begin_step(Tick t, BetaBatch& batch) {
-  if (!due(t)) throw std::logic_error("Monitor::begin_step called when not due");
-  if (last_sample_tick_ && t <= *last_sample_tick_)
-    throw std::logic_error("Monitor: sampling must move forward in time");
-  const double value = source_.value_at(t);
-  const Tick gap = last_sample_tick_ ? t - *last_sample_tick_ : 1;
-  sampler_.observe_begin(value, gap, batch);
-  pending_value_ = value;
-}
-
-Monitor::Outcome Monitor::finish_step(Tick t, double beta) {
-  const Tick interval = sampler_.observe_finish(beta);
-  return apply_sample(t, pending_value_, interval, SampleReason::kScheduled);
-}
-
-Monitor::Outcome Monitor::apply_sample(Tick t, double value, Tick interval,
-                                       SampleReason reason) {
   last_sample_tick_ = t;
   next_sample_ = t + interval;
 
@@ -82,18 +39,13 @@ Monitor::Outcome Monitor::apply_sample(Tick t, double value, Tick interval,
   out.reason = reason;
   last_value_ = value;
   last_was_violation_ = out.local_violation;
-  const auto& om = MonitorMetrics::get();
-  if (out.local_violation) {
-    ++local_violations_;
-    om.violations->inc();
-  }
+  if (out.local_violation) ++local_violations_;
   if (reason == SampleReason::kScheduled) {
     ++scheduled_ops_;
-    om.scheduled->inc();
   } else {
     ++forced_ops_;
-    om.forced->inc();
   }
+  tally.add(reason, out.local_violation, sampler_);
   if (obs::trace_enabled()) {
     obs::trace().record(obs::TraceKind::kSampleTaken, t, id_, value,
                         reason == SampleReason::kScheduled ? 0.0 : 1.0);
@@ -103,13 +55,13 @@ Monitor::Outcome Monitor::apply_sample(Tick t, double value, Tick interval,
   return out;
 }
 
-Monitor::Outcome Monitor::step(Tick t) {
+Monitor::Outcome Monitor::step(Tick t, SampleTally& tally) {
   if (!due(t)) throw std::logic_error("Monitor::step called when not due");
-  return sample_at(t, SampleReason::kScheduled);
+  return sample_at(t, SampleReason::kScheduled, tally);
 }
 
-Monitor::Outcome Monitor::force_sample(Tick t) {
-  return sample_at(t, SampleReason::kGlobalPoll);
+Monitor::Outcome Monitor::force_sample(Tick t, SampleTally& tally) {
+  return sample_at(t, SampleReason::kGlobalPoll, tally);
 }
 
 CoordStats Monitor::drain_coord_stats() {

@@ -5,10 +5,15 @@
 //
 // Time is driven externally (by core::Coordinator for synchronous runs, by
 // sim::EventQueue for the datacenter simulation, or by the socket runtime):
-// the owner calls `due(t)` / `step(t)` each tick. A *global poll* forces an
-// out-of-schedule sample via `force_sample(t)`; forced samples feed the
-// estimator too (they are real observations) and reschedule the next
-// scheduled sample, so the poll's cost buys fresher statistics.
+// the owner calls `due(t)` / `step(t, tally)` each tick. A *global poll*
+// forces an out-of-schedule sample via `force_sample(t, tally)`; forced
+// samples feed the estimator too (they are real observations) and
+// reschedule the next scheduled sample, so the poll's cost buys fresher
+// statistics.
+//
+// A monitor records no metrics itself: each sampling operation is added to
+// the caller's SampleTally, which the caller publishes once per tick
+// (core/sample_tally.h).
 #pragma once
 
 #include <cstdint>
@@ -16,6 +21,7 @@
 
 #include "core/adaptive_sampler.h"
 #include "core/metric_source.h"
+#include "core/sample_tally.h"
 #include "core/types.h"
 #include "stats/online_stats.h"
 
@@ -39,26 +45,16 @@ class Monitor {
   bool due(Tick t) const { return t >= next_sample_; }
 
   /// Performs the scheduled sampling operation at tick t (caller must have
-  /// checked due(t)). Applies the adaptation rule and schedules the next
-  /// sample.
-  Outcome step(Tick t);
-
-  /// Batched form of step(), split so the coordinator can evaluate every
-  /// due monitor's β̄ in one likelihood-kernel invocation (DESIGN.md §11):
-  /// begin_step samples the source and feeds the estimator, pushing this
-  /// monitor's evaluation lane; finish_step applies the adaptation rule to
-  /// the lane's result and completes the bookkeeping/rescheduling exactly
-  /// as step() would. Calls must be strictly paired, both at the same t.
-  /// begin_step(t); finish_step(t, beta) with the kernel's beta is
-  /// bit-identical to step(t) — asserted by tests and bench_scale.
-  void begin_step(Tick t, BetaBatch& batch);
-  Outcome finish_step(Tick t, double beta);
+  /// checked due(t)). Applies the adaptation rule, schedules the next
+  /// sample and adds the operation to `tally`.
+  Outcome step(Tick t, SampleTally& tally);
 
   /// Coordinator-forced sample (global poll). Counts as a sampling op —
   /// unless the monitor already sampled at tick t, in which case the cached
   /// value is returned at no extra cost (a real deployment reuses the datum
-  /// it just collected instead of re-running the collection).
-  Outcome force_sample(Tick t);
+  /// it just collected instead of re-running the collection) and nothing is
+  /// added to `tally`.
+  Outcome force_sample(Tick t, SampleTally& tally);
 
   double local_threshold() const { return sampler_.threshold(); }
   void set_local_threshold(double threshold) {
@@ -85,12 +81,7 @@ class Monitor {
   double total_cost() const { return total_cost_; }
 
  private:
-  Outcome sample_at(Tick t, SampleReason reason);
-  /// Post-adaptation tail shared by sample_at and finish_step: violation
-  /// check, coordination-stat accumulators, accounting, metrics, traces,
-  /// and the next-sample schedule.
-  Outcome apply_sample(Tick t, double value, Tick interval,
-                       SampleReason reason);
+  Outcome sample_at(Tick t, SampleReason reason, SampleTally& tally);
 
   MonitorId id_;
   const MetricSource& source_;
@@ -99,7 +90,6 @@ class Monitor {
   std::optional<Tick> last_sample_tick_;
   double last_value_{0.0};
   bool last_was_violation_{false};
-  double pending_value_{0.0};  // begin_step -> finish_step handoff
 
   OnlineStats gain_acc_;       // r_i accumulator within the updating period
   OnlineStats allowance_acc_;  // e_i accumulator

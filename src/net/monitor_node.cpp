@@ -289,7 +289,7 @@ MonitorNode::ServiceResult MonitorNode::service_messages(Tick t) {
       resp.task = poll->task;
       const auto it = tasks_.find(poll->task);
       if (it != tasks_.end()) {
-        const auto outcome = it->second.monitor->force_sample(t);
+        const auto outcome = it->second.monitor->force_sample(t, tally_);
         log_sample(outcome);
         resp.value = outcome.sample.value;
       }
@@ -338,6 +338,7 @@ void MonitorNode::run() {
     if (connected_) {
       switch (service_messages(t)) {
         case ServiceResult::kShutdown:
+          publish(tally_);
           if (sample_log_) sample_log_->flush();
           return;
         case ServiceResult::kDisconnected:
@@ -356,7 +357,7 @@ void MonitorNode::run() {
     if (connected_) {
       for (auto& [task, state] : tasks_) {
         if (state.monitor->due(t)) {
-          const auto outcome = state.monitor->step(t);
+          const auto outcome = state.monitor->step(t, tally_);
           log_sample(outcome);
           if (outcome.local_violation) {
             LocalViolation report;
@@ -387,15 +388,18 @@ void MonitorNode::run() {
       // interval — the conservative schedule — so the violation likelihood
       // of the unobserved window is zero while the coordinator is away.
       for (auto& [task, state] : tasks_) {
-        const auto outcome = state.monitor->force_sample(t);
+        const auto outcome = state.monitor->force_sample(t, tally_);
         log_sample(outcome);
       }
       ++degraded_ticks_;
       MonitorNodeMetrics::get().degraded_ticks->inc();
     }
 
-    switch (wait_tick(t, static_cast<std::int64_t>(options_.tick_micros) *
-                             1000)) {
+    const ServiceResult waited =
+        wait_tick(t, static_cast<std::int64_t>(options_.tick_micros) * 1000);
+    // The tick's samples, poll answers while waiting included.
+    publish(tally_);
+    switch (waited) {
       case ServiceResult::kShutdown:
         if (sample_log_) sample_log_->flush();
         return;
@@ -419,7 +423,9 @@ void MonitorNode::run() {
                         std::chrono::milliseconds(options_.shutdown_grace_ms);
   while (std::chrono::steady_clock::now() < deadline && !stop_.load()) {
     // Straggler polls are answered with the last in-range tick's state.
-    if (service_messages(options_.ticks - 1) != ServiceResult::kOk) return;
+    const ServiceResult served = service_messages(options_.ticks - 1);
+    publish(tally_);
+    if (served != ServiceResult::kOk) return;
     heartbeat_if_due(now_ms());
     // Park until a straggler frame, the next heartbeat, or the deadline.
     const auto now = std::chrono::steady_clock::now();

@@ -154,6 +154,9 @@ class MonitorNode {
   double boot_allowance_{0.0};  // boot task's allowance, kept past detach
   std::unique_ptr<SampleLogWriter> sample_log_;
   std::atomic<bool> stop_{false};
+  /// This node's sampling operations, published once per tick by run()
+  /// (core/sample_tally.h).
+  SampleTally tally_;
 
   // Connection state (only touched from run()'s thread).
   Reactor reactor_;

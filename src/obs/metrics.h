@@ -33,6 +33,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -74,6 +75,17 @@ class HistogramMetric {
   void observe(double x) {
     std::lock_guard<std::mutex> lock(mu_);
     hist_.add(x);
+  }
+
+  /// Observes each value i in [0, counts.size()) counts[i] times under one
+  /// lock: bins, under/overflow and count equal counts[i] separate
+  /// observe(i) calls (and so does the sum, exactly, while it stays an
+  /// integer below 2^53). Publishes a tally of small integers at once.
+  void observe_counts(std::span<const std::int64_t> counts) {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      if (counts[i] > 0) hist_.add_n(static_cast<double>(i), counts[i]);
+    }
   }
 
   /// Consistent copy of the underlying histogram.

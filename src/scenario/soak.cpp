@@ -486,6 +486,7 @@ SoakReport run_scenario_sim(const Scenario& input,
 
   std::size_t next_event = 0;
   begin_phase();
+  SampleTally tally;
   for (Tick t = 0; t < scenario.ticks; ++t) {
     // Control-plane churn scheduled for this tick.
     while (next_event < events.size() && events[next_event].tick <= t) {
@@ -526,7 +527,7 @@ SoakReport run_scenario_sim(const Scenario& input,
         }
         Monitor& m = *task.monitors[i];
         if (!m.due(t)) continue;
-        const auto outcome = m.step(t);
+        const auto outcome = m.step(t, tally);
         task.last_known[i] = outcome.sample.value;
         if (outcome.local_violation) {
           ++counters.local_violations;
@@ -552,7 +553,7 @@ SoakReport run_scenario_sim(const Scenario& input,
             sum += task.last_known[i];
             continue;
           }
-          const auto outcome = task.monitors[i]->force_sample(t);
+          const auto outcome = task.monitors[i]->force_sample(t, tally);
           task.last_known[i] = outcome.sample.value;
           sum += outcome.sample.value;
         }
@@ -575,6 +576,7 @@ SoakReport run_scenario_sim(const Scenario& input,
         ++counters.reallocations;
       }
     }
+    publish(tally);
 
     if (scenario.snapshot_every > 0 && t > 0 &&
         t % scenario.snapshot_every == 0)

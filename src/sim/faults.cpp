@@ -102,6 +102,7 @@ FaultyRunResult run_volley_faulty(const TaskSpec& spec,
   std::vector<double> last_known(n, 0.0);
   Tick next_update = spec.updating_period;
 
+  SampleTally tally;
   for (Tick t = 0; t < ticks; ++t) {
     int surviving_reports = 0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -111,7 +112,7 @@ FaultyRunResult run_volley_faulty(const TaskSpec& spec,
       }
       Monitor& m = *monitors[i];
       if (!m.due(t)) continue;
-      const auto outcome = m.step(t);
+      const auto outcome = m.step(t, tally);
       last_known[i] = outcome.sample.value;
       if (outcome.local_violation) {
         ++result.run.local_violations;
@@ -137,7 +138,7 @@ FaultyRunResult run_volley_faulty(const TaskSpec& spec,
           sum += last_known[i];  // timeout fallback: stale value
           continue;
         }
-        const auto outcome = monitors[i]->force_sample(t);
+        const auto outcome = monitors[i]->force_sample(t, tally);
         last_known[i] = outcome.sample.value;
         sum += outcome.sample.value;
       }
@@ -145,6 +146,7 @@ FaultyRunResult run_volley_faulty(const TaskSpec& spec,
       if (sum > spec.global_threshold)
         detected[static_cast<std::size_t>(t)] = 1;
     }
+    publish(tally);
 
     if (t >= next_update) {
       next_update = t + spec.updating_period;

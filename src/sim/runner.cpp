@@ -224,6 +224,7 @@ CorrelatedGroupResult run_correlated_group(
   std::vector<std::vector<char>> detected(
       tasks.size(), std::vector<char>(static_cast<std::size_t>(ticks), 0));
 
+  SampleTally tally;
   for (Tick t = 0; t < ticks; ++t) {
     for (std::size_t i = 0; i < tasks.size(); ++i) {
       Monitor& m = *monitors[i];
@@ -234,13 +235,14 @@ CorrelatedGroupResult run_correlated_group(
           t - last_op[i] < tasks[i].spec.max_interval) {
         continue;
       }
-      const auto outcome = m.step(t);
+      const auto outcome = m.step(t, tally);
       last_op[i] = t;
       scheduler.observe(i, outcome.sample.value);
       if (outcome.local_violation)
         detected[i][static_cast<std::size_t>(t)] = 1;
     }
     scheduler.end_tick();
+    publish(tally);
   }
 
   CorrelatedGroupResult result;

@@ -14,24 +14,17 @@ Histogram::Histogram(double lo, double hi, std::size_t bins)
   if (bins == 0) throw std::invalid_argument("Histogram: bins must be > 0");
 }
 
-void Histogram::add(double x) { add_n(x, 1); }
-
 void Histogram::add_n(double x, std::int64_t n) {
   if (n <= 0) throw std::invalid_argument("Histogram: n must be > 0");
-  std::size_t bin;
-  if (x < lo_) {
-    underflow_ += n;
-    bin = 0;
-  } else if (x >= hi_) {
-    overflow_ += n;
-    bin = counts_.size() - 1;
-  } else {
-    bin = static_cast<std::size_t>((x - lo_) / bin_width_);
-    bin = std::min(bin, counts_.size() - 1);  // guard x just below hi_
-  }
-  counts_[bin] += n;
-  total_ += n;
-  sum_ += x * static_cast<double>(n);
+  add_unchecked(x, n);
+}
+
+void Histogram::clear() {
+  std::fill(counts_.begin(), counts_.end(), 0);
+  total_ = 0;
+  underflow_ = 0;
+  overflow_ = 0;
+  sum_ = 0.0;
 }
 
 void Histogram::merge(const Histogram& other) {

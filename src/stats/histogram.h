@@ -7,6 +7,8 @@
 // so callers can detect mis-sized ranges.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -18,8 +20,13 @@ class Histogram {
   /// [lo, hi) split into `bins` equal-width bins.
   Histogram(double lo, double hi, std::size_t bins);
 
-  void add(double x);
+  /// Inline: the per-sample tally (core/sample_tally.h) bins every β̄
+  /// with it, so the bin formula stays the registry's own.
+  void add(double x) { add_unchecked(x, 1); }
   void add_n(double x, std::int64_t n);
+
+  /// Zeroes every count and the sum; keeps the shape and the storage.
+  void clear();
 
   /// Adds every observation of `other` into this histogram. Both must share
   /// the same [lo, hi) range and bin count (throws otherwise); counts,
@@ -44,6 +51,23 @@ class Histogram {
   std::string render(std::size_t width = 50) const;
 
  private:
+  void add_unchecked(double x, std::int64_t n) {
+    std::size_t bin;
+    if (x < lo_) {
+      underflow_ += n;
+      bin = 0;
+    } else if (x >= hi_) {
+      overflow_ += n;
+      bin = counts_.size() - 1;
+    } else {
+      bin = static_cast<std::size_t>((x - lo_) / bin_width_);
+      bin = std::min(bin, counts_.size() - 1);  // guard x just below hi_
+    }
+    counts_[bin] += n;
+    total_ += n;
+    sum_ += x * static_cast<double>(n);
+  }
+
   double lo_, hi_, bin_width_;
   std::vector<std::int64_t> counts_;
   std::int64_t total_{0};

@@ -7,6 +7,9 @@
 
 #include "common/rng.h"
 #include "core/adaptive_sampler.h"
+#include "core/metric_source.h"
+#include "core/monitor.h"
+#include "core/sample_tally.h"
 #include "obs/metrics.h"
 
 namespace volley {
@@ -80,6 +83,36 @@ TEST(AdaptiveSampler, ResetsToDefaultOnDanger) {
   sampler.observe(99.9, sampler.interval());
   EXPECT_EQ(sampler.interval(), 1);
   EXPECT_EQ(sampler.safe_streak(), 0);
+}
+
+TEST(AdaptiveSampler, LastChangeNamesCountedResetsAndGrowths) {
+  // What the sampler reports is what the tally counts: kGrowth exactly when
+  // the interval grew, kReset only for a decrease from I > 1, kHold
+  // otherwise (including a reset that finds I = 1 already).
+  auto options = quiet_options();
+  options.patience = 1;
+  AdaptiveSampler sampler(options, 100.0);
+  EXPECT_EQ(sampler.last_change(), IntervalChange::kHold);
+  Rng rng(3);
+  int growths = 0;
+  for (int i = 0; i < 100; ++i) {
+    const Tick before = sampler.interval();
+    sampler.observe(rng.normal(1.0, 0.1), 1);
+    const bool grew = sampler.interval() > before;
+    EXPECT_EQ(sampler.last_change() == IntervalChange::kGrowth, grew);
+    if (grew) ++growths;
+  }
+  EXPECT_EQ(growths, options.max_interval - 1);
+  sampler.observe(1.0, 1);  // at Im: a safe check holds
+  EXPECT_EQ(sampler.last_change(), IntervalChange::kHold);
+  sampler.observe(99.9, sampler.interval());
+  ASSERT_EQ(sampler.interval(), 1);
+  EXPECT_EQ(sampler.last_change(), IntervalChange::kReset);
+  sampler.observe(99.95, 1);  // still unsafe, already at I = 1
+  ASSERT_EQ(sampler.interval(), 1);
+  EXPECT_EQ(sampler.last_change(), IntervalChange::kHold);
+  sampler.reset();
+  EXPECT_EQ(sampler.last_change(), IntervalChange::kHold);
 }
 
 TEST(AdaptiveSampler, SlackBandClearsStreakWithoutReset) {
@@ -211,14 +244,19 @@ TEST(AdaptiveSampler, IntervalHistogramBoundTracksMaxInterval) {
   // configuration with Im > 64 funneled every chosen interval into the
   // overflow bucket. The bound is now derived from Im at first registration
   // (rounded up to a multiple of 64 so small-Im runs keep the legacy shape
-  // and stay merge-compatible).
+  // and stay merge-compatible). The sampler records no metrics itself: a
+  // monitor tallies its decisions and the tally's publish registers the
+  // histogram with the first tallied sample's Im.
+  CallableSource source([](Tick) { return 1.0; }, 1000);
   {
     obs::MetricsRegistry registry;
     obs::ScopedMetricsRegistry scope(registry);
     auto options = quiet_options();
     options.max_interval = 100;
-    AdaptiveSampler sampler(options, 1000.0);
-    for (int i = 0; i < 5; ++i) sampler.observe(1.0, 1);
+    Monitor monitor(0, source, options, 1000.0);
+    SampleTally tally;
+    for (Tick t = 0; t < 5; ++t) monitor.force_sample(t, tally);
+    publish(tally);
     const auto snap =
         registry.histogram("volley_sampler_interval_ticks", 0.0, 1.0, 1)
             .snapshot();
@@ -232,8 +270,10 @@ TEST(AdaptiveSampler, IntervalHistogramBoundTracksMaxInterval) {
     // Im <= 63 keeps the legacy 0-64x64 shape exactly.
     obs::MetricsRegistry registry;
     obs::ScopedMetricsRegistry scope(registry);
-    AdaptiveSampler sampler(quiet_options(), 1000.0);  // Im = 10
-    sampler.observe(1.0, 1);
+    Monitor monitor(0, source, quiet_options(), 1000.0);  // Im = 10
+    SampleTally tally;
+    monitor.force_sample(0, tally);
+    publish(tally);
     const auto snap =
         registry.histogram("volley_sampler_interval_ticks", 0.0, 1.0, 1)
             .snapshot();

@@ -1,6 +1,6 @@
 // Identity tests for the β̄ likelihood kernel (DESIGN.md §11): every fast
-// path — zero-β̄ certificate, incremental prefix memo, blocked/SIMD loop,
-// SoA batch, coordinator batch drain — must return the double that the
+// path — zero-β̄ certificate, certified-prefix skip, incremental prefix
+// memo, blocked/SIMD loop — must return the double that the
 // baseline `beta_bound_with(..., chebyshev_step_bound)` loop returns,
 // compared *bitwise*, across a property sweep that covers σ = 0, k ≤ 0,
 // cold start, saturation early-exits, and the AIMD access pattern. Plus the
@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -124,6 +125,113 @@ TEST(KernelIdentity, RejectsNonPositiveInterval) {
   EXPECT_THROW(beta_bound_chebyshev(0.0, 1.0, s, 0), std::invalid_argument);
 }
 
+// --- the certified-prefix skip ----------------------------------------
+
+/// Asserts the kernel equals the baseline bitwise at (v, T, s, I), and that
+/// the baseline's factors over the prefix the kernel skips are exactly 1.0.
+/// Returns that prefix's length.
+Tick expect_prefix_identity(double v, double t, const DeltaStats& s, Tick i) {
+  EXPECT_BITEQ(beta_bound_chebyshev(v, t, s, i), scalar_reference(v, t, s, i))
+      << "v=" << v << " T=" << t << " mu=" << s.mean << " sigma=" << s.stddev
+      << " I=" << i;
+  const Tick j = certified_unit_prefix(v, t, s, i);
+  EXPECT_GE(j, 0);
+  EXPECT_LT(j, i);
+  for (Tick step = 1; step <= j; ++step) {
+    EXPECT_BITEQ(1.0 - chebyshev_step_bound(v, t, s, step), 1.0)
+        << "skipped factor " << step << " of I=" << i;
+  }
+  return j;
+}
+
+/// σ of a lane whose k_i = (T − v)/(i·σ) crosses 2^28 at step `crossing`
+/// (μ = 0): the gap-1 statistics of a quiet lane polled every tick.
+double sigma_crossing_at(double margin, double crossing) {
+  return margin / (crossing * 0x1p28);
+}
+
+TEST(KernelPrefix, QuietGapOneLaneAtEveryInterval) {
+  // v = 0.5 under T = 1 with σ such that k_i falls below 2^28 after step
+  // 22: the full certificate holds up to I = 22 and fails beyond, where
+  // the kernel skips the certified prefix instead of folding ~22 factors
+  // of exactly 1.0.
+  const DeltaStats s{0.0, sigma_crossing_at(0.5, 22.5)};
+  for (Tick i = 2; i <= 64; ++i) {
+    const Tick j = expect_prefix_identity(0.5, 1.0, s, i);
+    if (i > 23) {
+      EXPECT_GE(j, 20) << "I=" << i;  // the skip is exercised
+    }
+  }
+}
+
+TEST(KernelPrefix, MarginsStraddlingTheBound) {
+  // k_c sits within a few ulps of 2^28 at step c: the closed form and the
+  // certificate must agree on which side it falls, or skip nothing.
+  for (double crossing : {1.0, 2.0, 7.0, 16.0, 39.0}) {
+    const double sigma = sigma_crossing_at(0.25, crossing);
+    for (double scale : {1.0 - 0x1p-50, 1.0 - 0x1p-52, 1.0, 1.0 + 0x1p-52,
+                         1.0 + 0x1p-50}) {
+      const DeltaStats s{0.0, sigma * scale};
+      for (Tick i : {Tick{2}, Tick{8}, Tick{40}, Tick{64}})
+        expect_prefix_identity(0.75, 1.0, s, i);
+    }
+  }
+}
+
+TEST(KernelPrefix, SignedMeans) {
+  const double sigma = sigma_crossing_at(1.0, 10.0);
+  for (double mu : {-1e-3, -sigma * 0x1p27, -1e-12, 1e-12, sigma * 0x1p20,
+                    1e-3, 0.02}) {
+    const DeltaStats s{mu, sigma};
+    for (Tick i : {Tick{2}, Tick{11}, Tick{40}, Tick{64}})
+      expect_prefix_identity(2.0, 3.0, s, i);
+  }
+  // μ·I large enough to reach the threshold: the tail saturates.
+  expect_prefix_identity(2.0, 3.0, DeltaStats{0.05, 1e-9}, 64);
+}
+
+TEST(KernelPrefix, ZeroSigmaSkipsNothing) {
+  for (double mu : {0.0, 0.01, -0.01, 0.05}) {
+    const DeltaStats s{mu, 0.0};
+    for (Tick i : {Tick{2}, Tick{20}, Tick{40}, Tick{64}}) {
+      EXPECT_EQ(expect_prefix_identity(0.0, 1.0, s, i), 0);
+    }
+  }
+}
+
+TEST(KernelPrefix, NaNInputsSkipNothing) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double sigma = sigma_crossing_at(0.5, 5.0);
+  const struct {
+    double v, t;
+    DeltaStats s;
+  } cases[] = {
+      {nan, 1.0, {0.0, sigma}},  {0.5, nan, {0.0, sigma}},
+      {0.5, 1.0, {nan, sigma}},  {0.5, 1.0, {0.0, nan}},
+  };
+  for (const auto& c : cases) {
+    for (Tick i : {Tick{2}, Tick{40}}) {
+      EXPECT_EQ(expect_prefix_identity(c.v, c.t, c.s, i), 0);
+    }
+  }
+}
+
+TEST(KernelPrefix, ColdMemoThenExtension) {
+  // The prefix path stores the memo; extending the same key continues the
+  // product from it and must still equal the baseline at every I.
+  const DeltaStats s{0.0, sigma_crossing_at(0.5, 12.0)};
+  BetaBoundCache cache;
+  ASSERT_BITEQ(beta_bound_chebyshev(0.5, 1.0, s, 30, &cache),
+               scalar_reference(0.5, 1.0, s, 30));
+  ASSERT_GT(certified_unit_prefix(0.5, 1.0, s, 30), 0);
+  EXPECT_EQ(cache.interval, 30);
+  for (Tick i = 31; i <= 64; ++i) {
+    ASSERT_BITEQ(beta_bound_chebyshev(0.5, 1.0, s, i, &cache),
+                 scalar_reference(0.5, 1.0, s, i))
+        << "I=" << i;
+  }
+}
+
 // --- the incremental memo ---------------------------------------------
 
 TEST(KernelCache, AimdAccessPatternStaysIdentical) {
@@ -195,7 +303,7 @@ TEST(KernelCache, CertificateExtensionKeepsResult) {
   }
 }
 
-// --- estimator / batch layers -----------------------------------------
+// --- estimator layer --------------------------------------------------
 
 /// Feeds both estimators the same walk; returns them warmed up.
 void feed(ViolationLikelihoodEstimator& est, std::uint64_t seed, int n) {
@@ -241,59 +349,6 @@ TEST(KernelEstimator, GaussianPathUnaffected) {
   EXPECT_BITEQ(est.beta_bound(25.0, 12), direct);
 }
 
-TEST(KernelBatch, LanesMatchPerEstimatorResults) {
-  ViolationLikelihoodEstimator::Options gauss_opt;
-  gauss_opt.bound = ViolationLikelihoodEstimator::Bound::kGaussian;
-
-  std::vector<std::unique_ptr<ViolationLikelihoodEstimator>> ests;
-  for (int m = 0; m < 12; ++m) {
-    ests.push_back(std::make_unique<ViolationLikelihoodEstimator>());
-    feed(*ests.back(), 100 + static_cast<std::uint64_t>(m), 50 + 20 * m);
-  }
-  ests.push_back(std::make_unique<ViolationLikelihoodEstimator>());  // cold
-  ests.push_back(std::make_unique<ViolationLikelihoodEstimator>(gauss_opt));
-  feed(*ests.back(), 999, 120);
-
-  BetaBatch batch;
-  const double threshold = 40.0;
-  for (std::size_t m = 0; m < ests.size(); ++m) {
-    const auto interval = static_cast<Tick>(1 + 11 * m % 64);
-    ests[m]->push_lane(threshold, interval, batch);
-  }
-  ASSERT_EQ(batch.size(), ests.size());
-  beta_bound_batch(batch);
-  for (std::size_t m = 0; m < ests.size(); ++m) {
-    const auto interval = static_cast<Tick>(1 + 11 * m % 64);
-    ASSERT_BITEQ(batch.beta[m], ests[m]->beta_bound(threshold, interval))
-        << "lane " << m;
-  }
-  // The cold lane is the conservative 1.0 by construction.
-  EXPECT_BITEQ(batch.beta[12], 1.0);
-
-  // clear() keeps capacity: the coordinator's steady state re-fills the
-  // same batch every sample tick without allocating.
-  const auto cap = batch.value.capacity();
-  batch.clear();
-  EXPECT_EQ(batch.size(), 0u);
-  EXPECT_EQ(batch.value.capacity(), cap);
-}
-
-TEST(KernelBatch, ScalarFlagRoutesLanesThroughLegacyLoop) {
-  ViolationLikelihoodEstimator est;
-  feed(est, 71, 250);
-  const auto stats = est.delta_stats();
-  ASSERT_TRUE(stats.has_value());
-
-  BetaBatch batch;
-  est.push_lane(30.0, 24, batch);
-  {
-    ScalarBetaGuard guard(true);
-    beta_bound_batch(batch);
-  }
-  EXPECT_BITEQ(batch.beta[0],
-               scalar_reference(*est.last_value(), 30.0, *stats, 24));
-}
-
 // --- escape-hatch flag -------------------------------------------------
 
 TEST(ScalarBetaFlag, SetterRoundTrips) {
@@ -305,7 +360,7 @@ TEST(ScalarBetaFlag, SetterRoundTrips) {
   set_scalar_beta(prior);
 }
 
-// --- whole-run regression: batch drain vs legacy per-monitor loop ------
+// --- whole-run regression: kernel vs legacy per-monitor loop -----------
 
 std::vector<TimeSeries> walk_series(int monitors, Tick ticks,
                                     std::uint64_t seed) {
@@ -324,12 +379,11 @@ std::vector<TimeSeries> walk_series(int monitors, Tick ticks,
 }
 
 TEST(ScalarBetaRegression, WholeRunIsByteIdenticalEitherWay) {
-  // 16 monitors >= the coordinator's batch threshold: tick 0 (and every
-  // poll rebuild) drains through the batched kernel path, later sparse
-  // ticks through the per-monitor loop. With the hatch on, every
-  // evaluation instead takes the verbatim legacy loop. The two runs must
-  // agree byte for byte — including the metrics_json snapshot, which
-  // covers every counter and histogram either path touches.
+  // 16 monitors through the kernel (certificate, prefix skip, memo,
+  // blocked loop). With the hatch on, every evaluation instead takes the
+  // verbatim legacy loop. The two runs must agree byte for byte —
+  // including the metrics_json snapshot, which covers every counter and
+  // histogram either path touches.
   const Tick ticks = 4000;
   const auto series = walk_series(16, ticks, 321);
   TaskSpec spec;

@@ -19,8 +19,9 @@ AdaptiveSamplerOptions fast_growth() {
 TEST(Monitor, DueAtStartAndAfterInterval) {
   CallableSource source([](Tick) { return 0.0; }, 1000);
   Monitor monitor(0, source, fast_growth(), 100.0);
+  SampleTally tally;
   EXPECT_TRUE(monitor.due(0));
-  monitor.step(0);
+  monitor.step(0, tally);
   EXPECT_EQ(monitor.next_sample_tick(), 1);  // starts at the default interval
   EXPECT_FALSE(monitor.due(0));
   EXPECT_TRUE(monitor.due(1));
@@ -29,16 +30,18 @@ TEST(Monitor, DueAtStartAndAfterInterval) {
 TEST(Monitor, StepWhenNotDueThrows) {
   CallableSource source([](Tick) { return 0.0; }, 1000);
   Monitor monitor(0, source, fast_growth(), 100.0);
-  monitor.step(0);
-  EXPECT_THROW(monitor.step(0), std::logic_error);
+  SampleTally tally;
+  monitor.step(0, tally);
+  EXPECT_THROW(monitor.step(0, tally), std::logic_error);
 }
 
 TEST(Monitor, DetectsLocalViolation) {
   CallableSource source([](Tick t) { return t == 5 ? 50.0 : 0.0; }, 1000);
   Monitor monitor(0, source, fast_growth(), 10.0);
+  SampleTally tally;
   for (Tick t = 0; t <= 5; ++t) {
     if (!monitor.due(t)) continue;
-    const auto outcome = monitor.step(t);
+    const auto outcome = monitor.step(t, tally);
     EXPECT_EQ(outcome.local_violation, t == 5);
   }
   EXPECT_EQ(monitor.local_violations(), 1);
@@ -47,8 +50,9 @@ TEST(Monitor, DetectsLocalViolation) {
 TEST(Monitor, GrowsIntervalOnQuietSource) {
   CallableSource source([](Tick t) { return 0.01 * (t % 2); }, 10000);
   Monitor monitor(0, source, fast_growth(), 1000.0);
+  SampleTally tally;
   for (Tick t = 0; t < 200; ++t) {
-    if (monitor.due(t)) monitor.step(t);
+    if (monitor.due(t)) monitor.step(t, tally);
   }
   EXPECT_GT(monitor.interval(), 1);
   // Far fewer ops than ticks.
@@ -58,8 +62,9 @@ TEST(Monitor, GrowsIntervalOnQuietSource) {
 TEST(Monitor, ForcedSampleCountsSeparately) {
   CallableSource source([](Tick) { return 1.0; }, 1000);
   Monitor monitor(0, source, fast_growth(), 10.0);
-  monitor.step(0);
-  const auto outcome = monitor.force_sample(3);
+  SampleTally tally;
+  monitor.step(0, tally);
+  const auto outcome = monitor.force_sample(3, tally);
   EXPECT_EQ(outcome.reason, SampleReason::kGlobalPoll);
   EXPECT_DOUBLE_EQ(outcome.sample.value, 1.0);
   EXPECT_EQ(monitor.scheduled_ops(), 1);
@@ -75,19 +80,23 @@ TEST(Monitor, ForcedSampleAtSameTickIsFree) {
       },
       1000);
   Monitor monitor(0, source, fast_growth(), 10.0);
-  monitor.step(0);
+  SampleTally tally;
+  monitor.step(0, tally);
   const int reads_after_step = reads;
-  const auto outcome = monitor.force_sample(0);  // same tick: cached
+  const auto outcome = monitor.force_sample(0, tally);  // same tick: cached
   EXPECT_DOUBLE_EQ(outcome.sample.value, 2.0);
   EXPECT_EQ(reads, reads_after_step);  // no second collection
   EXPECT_EQ(monitor.forced_ops(), 0);
+  EXPECT_EQ(tally.forced, 0);  // a cached read is not a sampling op
+  EXPECT_EQ(tally.samples(), 1);
 }
 
 TEST(Monitor, ForcedSampleReschedulesNextSample) {
   CallableSource source([](Tick) { return 0.0; }, 10000);
   Monitor monitor(0, source, fast_growth(), 1000.0);
-  monitor.step(0);
-  monitor.force_sample(5);
+  SampleTally tally;
+  monitor.step(0, tally);
+  monitor.force_sample(5, tally);
   // The forced observation restarts the schedule from tick 5.
   EXPECT_GE(monitor.next_sample_tick(), 6);
 }
@@ -95,17 +104,19 @@ TEST(Monitor, ForcedSampleReschedulesNextSample) {
 TEST(Monitor, TimeMustMoveForward) {
   CallableSource source([](Tick) { return 0.0; }, 1000);
   Monitor monitor(0, source, fast_growth(), 10.0);
-  monitor.force_sample(10);
-  EXPECT_THROW(monitor.force_sample(5), std::logic_error);
+  SampleTally tally;
+  monitor.force_sample(10, tally);
+  EXPECT_THROW(monitor.force_sample(5, tally), std::logic_error);
   // A scheduled step at an already-sampled tick is a logic error too.
-  EXPECT_THROW(monitor.step(10), std::logic_error);
+  EXPECT_THROW(monitor.step(10, tally), std::logic_error);
 }
 
 TEST(Monitor, CoordStatsAverageAndDrain) {
   CallableSource source([](Tick t) { return 0.01 * (t % 2); }, 10000);
   Monitor monitor(0, source, fast_growth(), 1000.0);
+  SampleTally tally;
   for (Tick t = 0; t < 100; ++t) {
-    if (monitor.due(t)) monitor.step(t);
+    if (monitor.due(t)) monitor.step(t, tally);
   }
   const auto stats = monitor.drain_coord_stats();
   EXPECT_GT(stats.observations, 0);
@@ -127,17 +138,19 @@ TEST(Monitor, TotalCostAccumulatesSourceCosts) {
   };
   CostlySource source;
   Monitor monitor(0, source, fast_growth(), 10.0);
-  monitor.step(0);        // cost 1
-  monitor.force_sample(2);  // cost 3
+  SampleTally tally;
+  monitor.step(0, tally);          // cost 1
+  monitor.force_sample(2, tally);  // cost 3
   EXPECT_DOUBLE_EQ(monitor.total_cost(), 4.0);
 }
 
 TEST(Monitor, SetLocalThresholdTakesEffect) {
   CallableSource source([](Tick) { return 5.0; }, 1000);
   Monitor monitor(0, source, fast_growth(), 10.0);
-  EXPECT_FALSE(monitor.step(0).local_violation);
+  SampleTally tally;
+  EXPECT_FALSE(monitor.step(0, tally).local_violation);
   monitor.set_local_threshold(4.0);
-  EXPECT_TRUE(monitor.force_sample(1).local_violation);
+  EXPECT_TRUE(monitor.force_sample(1, tally).local_violation);
 }
 
 TEST(Monitor, AllowanceUpdatePropagatesToSampler) {

@@ -18,6 +18,7 @@
 #include "net/coordinator_node.h"
 #include "net/messages.h"
 #include "net/monitor_node.h"
+#include "obs/metrics.h"
 #include "shard/placement.h"
 #include "shard/runner.h"
 #include "shard/sharded_coordinator.h"
@@ -268,6 +269,97 @@ TEST(ShardedCoordinator, BudgetsConserveErrAtBothLevels) {
   // checks above to mean anything.
   EXPECT_GT(coordinator.root_reallocations(), 0);
   check_conservation();
+}
+
+// Sampling operations are tallied per tick and published once, before
+// run_tick returns (core/sample_tally.h). After every tick the run's
+// registry must hold exactly the operations the monitors counted: the
+// per-tick reads perfbench makes depend on it.
+template <typename Fleet>
+void expect_every_op_published(Fleet& fleet, obs::MetricsRegistry& registry,
+                               Tick ticks) {
+  auto& scheduled = registry.counter("volley_monitor_scheduled_ops_total");
+  auto& forced = registry.counter("volley_monitor_forced_ops_total");
+  auto& violations =
+      registry.counter("volley_monitor_local_violations_total");
+  auto& observations = registry.counter("volley_sampler_observations_total");
+  std::int64_t forced_ops = 0;
+  for (Tick t = 0; t < ticks; ++t) {
+    fleet.run_tick(t);
+    const std::int64_t ops = fleet.total_ops();
+    std::int64_t local_violations = 0;
+    forced_ops = 0;
+    for (std::size_t i = 0; i < fleet.monitor_count(); ++i) {
+      local_violations += fleet.monitor(i).local_violations();
+      forced_ops += fleet.monitor(i).forced_ops();
+    }
+    ASSERT_EQ(scheduled.value() + forced.value(), ops) << "t=" << t;
+    ASSERT_EQ(forced.value(), forced_ops) << "t=" << t;
+    ASSERT_EQ(observations.value(), ops) << "t=" << t;
+    ASSERT_EQ(violations.value(), local_violations) << "t=" << t;
+  }
+  // Registered by the first publish; the arguments here are ignored.
+  const auto beta =
+      registry.histogram("volley_sampler_beta_bound", 0.0, 1.0, 1).snapshot();
+  const auto intervals =
+      registry.histogram("volley_sampler_interval_ticks", 0.0, 1.0, 1)
+          .snapshot();
+  EXPECT_EQ(beta.count(), fleet.total_ops());
+  EXPECT_EQ(intervals.count(), fleet.total_ops());
+  EXPECT_EQ(intervals.bins(), 64u);  // Im = 16: the legacy shape
+  EXPECT_EQ(intervals.overflow(), 0);
+  // Both kinds of operation were exercised, and polls served cached reads.
+  EXPECT_GT(scheduled.value(), 0);
+  EXPECT_GT(forced_ops, 0);
+}
+
+struct PublicationFleet {
+  std::vector<TimeSeries> series;
+  std::vector<std::unique_ptr<SeriesSource>> sources;
+  TaskSpec spec = shard_spec(4.5);
+
+  std::vector<std::unique_ptr<Monitor>> monitors() {
+    constexpr Tick kTicks = 1500;
+    std::vector<std::unique_ptr<Monitor>> out;
+    for (std::size_t i = 0; i < 8; ++i) {
+      // Odd lanes are noisy just under their local threshold of 0.6, so
+      // they cross it often enough to poll, and their shard's sum often
+      // enough to escalate; even lanes stay quiet far below it, so a poll
+      // forces them to sample.
+      const bool noisy = i % 2 != 0;
+      series.push_back(quiet_series(kTicks, 700 + i, noisy ? 0.55 : 0.1,
+                                    noisy ? 0.3 : 0.01));
+      sources.push_back(std::make_unique<SeriesSource>(series.back()));
+      out.push_back(std::make_unique<Monitor>(
+          static_cast<MonitorId>(i), *sources.back(),
+          spec.sampler_options(spec.error_allowance), 0.6));
+    }
+    return out;
+  }
+};
+
+TEST(SamplePublication, FlatCoordinatorPublishesEveryOpEachTick) {
+  obs::MetricsRegistry registry;
+  obs::ScopedMetricsRegistry scope(registry);
+  PublicationFleet fleet;
+  Coordinator coordinator(
+      fleet.spec, fleet.monitors(),
+      shard::make_allocator_factory(AllocatorKind::kAdaptive)(8));
+  expect_every_op_published(coordinator, registry, 1500);
+  EXPECT_GT(coordinator.global_polls(), 0);
+}
+
+TEST(SamplePublication, ShardedCoordinatorPublishesEveryOpEachTick) {
+  obs::MetricsRegistry registry;
+  obs::ScopedMetricsRegistry scope(registry);
+  PublicationFleet fleet;
+  shard::ShardedCoordinator coordinator(
+      fleet.spec, fleet.monitors(), 4,
+      shard::make_allocator_factory(AllocatorKind::kAdaptive));
+  expect_every_op_published(coordinator, registry, 1500);
+  // Root escalations force-sample whole shards through force_poll, which
+  // publishes too.
+  EXPECT_GT(coordinator.escalations(), 0);
 }
 
 // End-to-end two-tier fleet over localhost TCP: one root coordinator, two
